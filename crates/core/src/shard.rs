@@ -722,13 +722,6 @@ impl ShardedFederation {
     }
 }
 
-/// Runs `op` on every fragment concurrently — one scoped thread per
-/// shard when there is more than one — returning the results in shard
-/// order. The blocking calls of a sub-query's fragments (summaries,
-/// partials) are independent across shards once begun, so gathering
-/// them serially would leave every other shard's uplink idle for the
-/// duration of each reply; results are still merged in shard order, so
-/// the release fold is unaffected.
 /// Records one shard's scatter/gather wall time under the labeled family
 /// `{base}.shard{s}` — public wall-clock only, like every obs sample. The
 /// allocation is skipped entirely while telemetry is off.
@@ -738,6 +731,13 @@ fn observe_per_shard(base: &str, shard: usize, wall: Duration) {
     }
 }
 
+/// Runs `op` on every fragment concurrently — one scoped thread per
+/// shard when there is more than one — returning the results in shard
+/// order. The blocking calls of a sub-query's fragments (summaries,
+/// partials) are independent across shards once begun, so gathering
+/// them serially would leave every other shard's uplink idle for the
+/// duration of each reply; results are still merged in shard order, so
+/// the release fold is unaffected.
 fn for_each_fragment<T, F>(fragments: &mut [Box<dyn FragmentHandle>], op: F) -> Vec<Result<T>>
 where
     T: Send,

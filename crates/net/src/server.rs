@@ -30,9 +30,10 @@
 //! pre-v6 clients get a typed bad-request before any charge.
 //!
 //! **Shard server** ([`FederationServer::bind_shard`]) serves only the
-//! v4 fragment frames to an upstream coordinator, one fragment lifecycle
-//! per connection, with *no* budget directory: fragments arrive already
-//! charged at the coordinator, the single ξ authority (see
+//! v4 fragment frames to an upstream coordinator — one fragment at a
+//! time per connection, fragment after fragment on connections the
+//! coordinator keeps and reuses — with *no* budget directory: fragments
+//! arrive already charged at the coordinator, the single ξ authority (see
 //! `docs/privacy-model.md`). The two analyst modes symmetrically refuse
 //! fragment frames — serving a fragment to an arbitrary analyst would
 //! bypass the budget ledger and hand out occurrence-differencing oracles.
@@ -263,10 +264,11 @@ impl FederationServer {
     }
 
     /// Binds `addr` in shard mode: the server answers only v4 fragment
-    /// frames (plus the handshake), one fragment lifecycle per
-    /// connection, and never opens a budget session — the upstream
-    /// coordinator is the single ξ authority and charges before it
-    /// scatters.
+    /// frames (plus the handshake), one fragment at a time per
+    /// connection — a coordinator reuses its connections across
+    /// fragments and pipelines requests within one — and never opens a
+    /// budget session: the upstream coordinator is the single ξ authority
+    /// and charges before it scatters.
     pub fn bind_shard(addr: &str, handle: EngineHandle) -> Result<Self> {
         Self::bind_mode(addr, ServerMode::Shard(handle))
     }
@@ -679,9 +681,11 @@ fn serve_connection(
 
 /// One coordinator connection in shard mode, served to completion.
 ///
-/// The connection carries at most one fragment lifecycle at a time:
+/// The connection carries at most one fragment lifecycle at a time —
 /// `Fragment` (summaries ⇒ allocation ⇒ partial) or the single-round
-/// `ExtremeFragment` / `ShardBoundsRequest`. Dropping the connection
+/// `ExtremeFragment` / `ShardBoundsRequest` — and any number of them one
+/// after another. Frames are answered strictly in order, so a client may
+/// pipeline a lifecycle's requests. Dropping the connection
 /// mid-fragment aborts it ([`PendingFragment`]'s drop unparks the
 /// workers), so a vanished coordinator never wedges the shard. No budget
 /// directory exists in this mode by construction: the upstream
@@ -784,7 +788,14 @@ fn serve_shard_connection(mut stream: TcpStream, handle: EngineHandle) -> Result
             Ok(Frame::FragmentAllocation(frame)) => match &fragment {
                 Some(pending) => match pending.provide_allocation(frame.allocations) {
                     Ok(()) => Frame::FragmentAllocated,
-                    Err(e) => core_error_reply(0, &e),
+                    Err(e) => {
+                        // A rejected allocation never reaches the parked
+                        // workers, so the fragment cannot complete: abort
+                        // it now, or a partial request pipelined behind
+                        // the allocation would wait on it forever.
+                        fragment = None;
+                        core_error_reply(0, &e)
+                    }
                 },
                 None => no_fragment_reply(),
             },

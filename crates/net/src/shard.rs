@@ -4,11 +4,25 @@
 //! federate engines running behind [`crate::FederationServer::bind_shard`]
 //! servers. Construction fetches the shard's provider count and public
 //! pruning bounds once (they are offline metadata — immutable for the
-//! server's lifetime); after that, every fragment opens its own
-//! connection, so one slow or dying fragment can never desynchronize a
-//! sibling's stream and a dropped connection maps exactly onto the
+//! server's lifetime).
+//!
+//! Connections are reused: each `RemoteShard` keeps a private idle pool
+//! of handshaken connections. A fragment takes one (or opens one when the
+//! pool is empty), carries its whole lifecycle on it, and puts it back
+//! only after a clean partial — when the server holds no fragment for it
+//! and no reply is unread. A connection carries one fragment at a time,
+//! so one slow or dying fragment can never desynchronize a sibling's
+//! stream, and the pool never holds more connections than the peak number
+//! of simultaneous fragments. Aborted fragments, errors and unexpected
+//! frames close their connection, which maps exactly onto the
 //! fragment-abort semantics the engine already has (the server's
 //! [`fedaqp_core::PendingFragment`] aborts on drop).
+//!
+//! Within a fragment, requests are pipelined: replies come back in
+//! order, so the summaries request leaves right after `FragmentQueued`,
+//! and the allocation and partial request leave back to back. A fragment
+//! therefore costs three round trips on a warm connection instead of a
+//! connect, a handshake and four round trips.
 //!
 //! Every failure inside the fragment lifecycle surfaces as
 //! [`CoreError::ShardUnavailable`] — the typed fault the coordinator's
@@ -16,14 +30,18 @@
 //! rewrites it to the failing shard's index). Setup failures in
 //! [`RemoteShard::connect`] stay in the richer [`NetError`] vocabulary,
 //! because at construction time there is a human reading the message.
+//! A fault on any connection also closes the shard's idle connections:
+//! a restarted shard leaves all of them stale, and the coordinator's
+//! single scatter retry must then reach the shard on a fresh one.
 //!
 //! Determinism note: nothing in this client touches randomness, and no
 //! seed ever crosses the wire — the shard derives its noise from its own
 //! configured seed plus the coordinator-assigned occurrence index in the
 //! fragment frames.
 
+use std::io::Write;
 use std::net::TcpStream;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use fedaqp_core::{
@@ -34,8 +52,8 @@ use fedaqp_model::Value;
 use fedaqp_smc::CostModel;
 
 use crate::wire::{
-    encode_frame, read_frame, write_frame_at, ErrorCode, FragmentAllocationFrame, FragmentRequest,
-    Frame, Hello, VERSION,
+    encode_frame, read_frame, write_frame_at, ErrorCode, ExtremeFragmentRequest,
+    FragmentAllocationFrame, FragmentRequest, Frame, Hello, VERSION,
 };
 use crate::{NetError, Result};
 
@@ -66,15 +84,16 @@ pub struct RemoteShard {
     addr: String,
     bounds: Vec<ProviderBounds>,
     uplink: Option<Uplink>,
+    pool: Arc<Pool>,
 }
 
 impl RemoteShard {
     /// Connects to a shard-mode server at `addr` and fetches its provider
-    /// bounds. The connection used for the fetch is dropped; fragments
-    /// open their own.
+    /// bounds. The connection used for the fetch is dropped, so the idle
+    /// pool starts empty; fragments open connections as they need them.
     pub fn connect(addr: &str) -> Result<Self> {
         let mut conn = ShardConn::open(addr)?;
-        conn.send(&Frame::ShardBoundsRequest)?;
+        conn.send(&[Frame::ShardBoundsRequest])?;
         let providers = match conn.recv()? {
             Frame::ShardBounds(frame) => frame.providers,
             _ => return Err(NetError::Malformed("expected ShardBounds")),
@@ -87,6 +106,7 @@ impl RemoteShard {
             addr: addr.to_owned(),
             bounds,
             uplink: None,
+            pool: Arc::default(),
         })
     }
 
@@ -107,6 +127,11 @@ impl RemoteShard {
     pub fn addr(&self) -> &str {
         &self.addr
     }
+
+    /// Opens a fresh, handshaken connection to the shard.
+    fn open(&self) -> fedaqp_core::Result<ShardConn> {
+        ShardConn::open(&self.addr).map_err(|e| unavailable(&e))
+    }
 }
 
 impl ShardBackend for RemoteShard {
@@ -119,8 +144,16 @@ impl ShardBackend for RemoteShard {
     }
 
     fn begin(&self, spec: &FragmentSpec) -> fedaqp_core::Result<Box<dyn FragmentHandle>> {
-        let mut conn = ShardConn::open(&self.addr).map_err(|e| unavailable(&e))?;
-        conn.send(&Frame::Fragment(FragmentRequest {
+        let conn = match self.pool.take() {
+            Some(conn) => conn,
+            None => self.open()?,
+        };
+        let mut fragment = RemoteFragment {
+            conn: Some(conn),
+            pool: Arc::clone(&self.pool),
+            uplink: self.uplink.clone(),
+        };
+        fragment.send(&[Frame::Fragment(FragmentRequest {
             query: spec.query.clone(),
             sampling_rate: spec.sampling_rate,
             eps_o: spec.budget.eps_o,
@@ -128,67 +161,132 @@ impl ShardBackend for RemoteShard {
             eps_e: spec.budget.eps_e,
             delta: spec.budget.delta,
             occurrence: spec.occurrence,
-        }))
-        .map_err(|e| unavailable(&e))?;
-        match conn.recv().map_err(|e| unavailable(&e))? {
+        })])?;
+        // The fragment must be queued on the shard before `begin` returns
+        // (the coordinator's scatter lock orders fragments across shards),
+        // so this one reply is awaited here; the summaries request then
+        // leaves at once and its reply is read by `summaries`.
+        match fragment.recv()? {
             Frame::FragmentQueued => {}
             _ => {
-                return Err(CoreError::ShardUnavailable {
-                    shard: 0,
-                    reason: "shard answered the fragment with an unexpected frame",
-                })
+                return Err(fragment.fault(unexpected(
+                    "shard answered the fragment with an unexpected frame",
+                )))
             }
         }
-        Ok(Box::new(RemoteFragment {
-            conn,
-            uplink: self.uplink.clone(),
-            complete: false,
-        }))
+        fragment.send(&[Frame::FragmentSummariesRequest])?;
+        Ok(Box::new(fragment))
     }
 
     fn extreme(&self, spec: &ExtremeFragmentSpec) -> fedaqp_core::Result<(Value, Duration)> {
-        let mut conn = ShardConn::open(&self.addr).map_err(|e| unavailable(&e))?;
-        conn.send(&Frame::ExtremeFragment(
-            crate::wire::ExtremeFragmentRequest {
-                dim: spec.dim as u32,
-                extreme: spec.extreme,
-                epsilon: spec.epsilon,
-                occurrence: spec.occurrence,
-            },
-        ))
-        .map_err(|e| unavailable(&e))?;
-        match conn.recv().map_err(|e| unavailable(&e))? {
+        let request = [Frame::ExtremeFragment(ExtremeFragmentRequest {
+            dim: spec.dim as u32,
+            extreme: spec.extreme,
+            epsilon: spec.epsilon,
+            occurrence: spec.occurrence,
+        })];
+        // An idle connection can go stale while pooled (the shard
+        // restarted), and extremes get no scatter-level retry, so a
+        // pooled connection that fails gets one second try on a fresh
+        // connection — the one try a fragment without a pool would get.
+        let exchange = |mut conn: ShardConn| -> Result<(ShardConn, Frame)> {
+            let reply = conn.request(&request)?;
+            Ok((conn, reply))
+        };
+        let (conn, reply) = match self.pool.take().map(exchange) {
+            Some(Ok(done)) => done,
+            pooled => {
+                if pooled.is_some() {
+                    self.pool.clear();
+                }
+                exchange(self.open()?).map_err(|e| {
+                    self.pool.clear();
+                    unavailable(&e)
+                })?
+            }
+        };
+        match reply {
             Frame::ExtremePartial(partial) => {
                 if let Some(uplink) = &self.uplink {
                     uplink.charge(&Frame::ExtremePartial(partial));
                 }
+                self.pool.put(conn);
                 Ok((partial.value, Duration::from_micros(partial.execution_us)))
             }
-            _ => Err(CoreError::ShardUnavailable {
-                shard: 0,
-                reason: "shard answered the extreme fragment with an unexpected frame",
-            }),
+            _ => {
+                self.pool.clear();
+                Err(unexpected(
+                    "shard answered the extreme fragment with an unexpected frame",
+                ))
+            }
         }
     }
 }
 
-/// One fragment lifecycle on its own connection.
+/// A shard's idle, handshaken connections, none with a fragment in
+/// flight or a reply unread.
+#[derive(Debug, Default)]
+struct Pool {
+    idle: Mutex<Vec<ShardConn>>,
+}
+
+impl Pool {
+    fn lock(&self) -> MutexGuard<'_, Vec<ShardConn>> {
+        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn take(&self) -> Option<ShardConn> {
+        self.lock().pop()
+    }
+
+    fn put(&self, conn: ShardConn) {
+        self.lock().push(conn);
+    }
+
+    /// Closes every idle connection.
+    fn clear(&self) {
+        self.lock().clear();
+    }
+}
+
+/// One fragment lifecycle on a connection of its own for its duration.
 struct RemoteFragment {
-    conn: ShardConn,
+    /// `None` once the connection went back to the pool.
+    conn: Option<ShardConn>,
+    pool: Arc<Pool>,
     uplink: Option<Uplink>,
-    complete: bool,
 }
 
 impl RemoteFragment {
-    fn request(&mut self, frame: &Frame) -> fedaqp_core::Result<Frame> {
-        self.conn.send(frame).map_err(|e| unavailable(&e))?;
-        self.conn.recv().map_err(|e| unavailable(&e))
+    fn conn(&mut self) -> &mut ShardConn {
+        self.conn
+            .as_mut()
+            .expect("a completed fragment is never driven again")
+    }
+
+    fn send(&mut self, frames: &[Frame]) -> fedaqp_core::Result<()> {
+        let sent = self.conn().send(frames);
+        sent.map_err(|e| self.fault(unavailable(&e)))
+    }
+
+    fn recv(&mut self) -> fedaqp_core::Result<Frame> {
+        let received = self.conn().recv();
+        received.map_err(|e| self.fault(unavailable(&e)))
+    }
+
+    /// Records a fault on this fragment's connection: the shard's idle
+    /// connections are suspect too. The connection itself closes when the
+    /// fragment drops.
+    fn fault(&self, error: CoreError) -> CoreError {
+        self.pool.clear();
+        error
     }
 }
 
 impl FragmentHandle for RemoteFragment {
     fn summaries(&mut self) -> fedaqp_core::Result<(Vec<ProviderSummary>, Duration)> {
-        match self.request(&Frame::FragmentSummariesRequest)? {
+        // `begin` already sent the request.
+        match self.recv()? {
             Frame::FragmentSummaries(frame) => {
                 if let Some(uplink) = &self.uplink {
                     uplink.charge(&Frame::FragmentSummaries(frame.clone()));
@@ -207,32 +305,42 @@ impl FragmentHandle for RemoteFragment {
                     .collect();
                 Ok((summaries, Duration::from_micros(frame.summary_us)))
             }
-            _ => Err(CoreError::ShardUnavailable {
-                shard: 0,
-                reason: "shard answered the summaries request with an unexpected frame",
-            }),
+            _ => Err(self.fault(unexpected(
+                "shard answered the summaries request with an unexpected frame",
+            ))),
         }
     }
 
     fn allocate(&mut self, allocations: &[u64]) -> fedaqp_core::Result<()> {
-        match self.request(&Frame::FragmentAllocation(FragmentAllocationFrame {
-            allocations: allocations.to_vec(),
-        }))? {
-            Frame::FragmentAllocated => Ok(()),
-            _ => Err(CoreError::ShardUnavailable {
-                shard: 0,
-                reason: "shard answered the allocation with an unexpected frame",
+        // The partial request rides along; both replies are read by
+        // `partial`, so a rejected allocation surfaces there.
+        self.send(&[
+            Frame::FragmentAllocation(FragmentAllocationFrame {
+                allocations: allocations.to_vec(),
             }),
-        }
+            Frame::FragmentPartialRequest,
+        ])
     }
 
     fn partial(&mut self) -> fedaqp_core::Result<FragmentPartial> {
-        match self.request(&Frame::FragmentPartialRequest)? {
+        match self.recv()? {
+            Frame::FragmentAllocated => {}
+            _ => {
+                return Err(self.fault(unexpected(
+                    "shard answered the allocation with an unexpected frame",
+                )))
+            }
+        }
+        match self.recv()? {
             Frame::FragmentPartial(frame) => {
                 if let Some(uplink) = &self.uplink {
                     uplink.charge(&Frame::FragmentPartial(frame.clone()));
                 }
-                self.complete = true;
+                // The partial completes the lifecycle: the connection
+                // holds no fragment and no unread reply.
+                if let Some(conn) = self.conn.take() {
+                    self.pool.put(conn);
+                }
                 Ok(FragmentPartial {
                     rows: frame
                         .rows
@@ -248,21 +356,21 @@ impl FragmentHandle for RemoteFragment {
                     execution: Duration::from_micros(frame.execution_us),
                 })
             }
-            _ => Err(CoreError::ShardUnavailable {
-                shard: 0,
-                reason: "shard answered the partial request with an unexpected frame",
-            }),
+            _ => Err(self.fault(unexpected(
+                "shard answered the partial request with an unexpected frame",
+            ))),
         }
     }
 }
 
 impl Drop for RemoteFragment {
     fn drop(&mut self) {
-        // Best-effort graceful abort for an incomplete fragment; if the
-        // frame never arrives, the closing socket aborts it anyway (the
-        // server's `PendingFragment` unparks its workers on drop).
-        if !self.complete {
-            let _ = self.conn.send(&Frame::FragmentAbort);
+        // An incomplete fragment still owns its connection: abort it
+        // best-effort and close the connection. If the frame never
+        // arrives, the closing socket aborts it anyway (the server's
+        // `PendingFragment` unparks its workers on drop).
+        if let Some(mut conn) = self.conn.take() {
+            let _ = conn.send(&[Frame::FragmentAbort]);
         }
     }
 }
@@ -282,7 +390,13 @@ fn unavailable(error: &NetError) -> CoreError {
     CoreError::ShardUnavailable { shard: 0, reason }
 }
 
-/// A blocking request/reply connection to a shard-mode server.
+/// The typed fault for a well-formed reply of the wrong kind.
+fn unexpected(reason: &'static str) -> CoreError {
+    CoreError::ShardUnavailable { shard: 0, reason }
+}
+
+/// A blocking, handshaken connection to a shard-mode server.
+#[derive(Debug)]
 struct ShardConn {
     stream: TcpStream,
 }
@@ -321,8 +435,15 @@ impl ShardConn {
         }
     }
 
-    fn send(&mut self, frame: &Frame) -> Result<()> {
-        write_frame_at(&mut self.stream, frame, VERSION)
+    /// Writes `frames` back to back in one write; the server answers
+    /// them in order.
+    fn send(&mut self, frames: &[Frame]) -> Result<()> {
+        let mut bytes = Vec::new();
+        for frame in frames {
+            bytes.extend(encode_frame(frame)?);
+        }
+        self.stream.write_all(&bytes)?;
+        Ok(())
     }
 
     /// Reads the next reply, turning a typed error frame into
@@ -335,5 +456,11 @@ impl ShardConn {
             }),
             frame => Ok(frame),
         }
+    }
+
+    /// One request and its reply.
+    fn request(&mut self, frames: &[Frame]) -> Result<Frame> {
+        self.send(frames)?;
+        self.recv()
     }
 }

@@ -83,7 +83,11 @@
 //!
 //! **Shard fragment frames (v4, coordinator ⇒ shard).** A server started
 //! in *shard mode* serves a scatter–gather coordinator instead of
-//! analysts: one connection carries one fragment through its lifecycle —
+//! analysts. A connection carries one fragment at a time through its
+//! lifecycle, and is reused for fragment after fragment; replies come
+//! back in request order, so a client may pipeline a lifecycle's requests
+//! (the summaries request right behind the queued acknowledgement, the
+//! partial request right behind the allocation). The lifecycle:
 //! [`Frame::Fragment`] ⇒ [`Frame::FragmentQueued`];
 //! [`Frame::FragmentSummariesRequest`] ⇒ [`Frame::FragmentSummaries`]
 //! (per-provider DP summaries, local provider order);

@@ -9,14 +9,13 @@
 //!   survives), and reconnecting cannot reset a spent budget.
 
 use fedaqp_core::{Federation, FederationConfig, FederationEngine, QueryBatch};
-use fedaqp_model::{
-    Aggregate, DerivedStatistic, Dimension, Domain, Extreme, QueryPlan, Range, RangeQuery, Row,
-    Schema,
-};
+use fedaqp_model::{Aggregate, Dimension, Domain, QueryPlan, Range, RangeQuery, Row, Schema};
 use fedaqp_net::{
-    wire, ErrorCode, FederationServer, LoopbackServer, NetError, RemoteFederation, RemoteShard,
-    ServeOptions,
+    wire, ErrorCode, FederationServer, LoopbackServer, NetError, RemoteFederation, ServeOptions,
 };
+
+mod common;
+use common::*;
 
 fn schema() -> Schema {
     Schema::new(vec![
@@ -45,10 +44,6 @@ fn federation(epsilon: f64) -> Federation {
     cfg.n_min = 3;
     cfg.epsilon = epsilon;
     Federation::build(cfg, schema(), partitions(2000, 4)).unwrap()
-}
-
-fn count_query(lo: i64, hi: i64) -> RangeQuery {
-    RangeQuery::new(Aggregate::Count, vec![Range::new(0, lo, hi).unwrap()]).unwrap()
 }
 
 fn batch() -> QueryBatch {
@@ -316,75 +311,6 @@ fn malformed_bytes_get_a_typed_error_then_close() {
     drop(stream);
     server.shutdown();
     engine.shutdown();
-}
-
-/// Schema with a small categorical dimension for plan tests.
-fn plan_schema() -> Schema {
-    Schema::new(vec![
-        Dimension::new("x", Domain::new(0, 999).unwrap()),
-        Dimension::new("cat", Domain::new(0, 4).unwrap()),
-    ])
-    .unwrap()
-}
-
-/// The seeded per-provider data the plan tests run over.
-fn plan_partitions() -> Vec<Vec<Row>> {
-    (0..4)
-        .map(|p| {
-            (0..2000)
-                .map(|i| {
-                    let v = (i * 7 + p * 13) % 1000;
-                    Row::cell(vec![v as i64, ((i + p) % 5) as i64], 1 + (i % 3) as u64)
-                })
-                .collect()
-        })
-        .collect()
-}
-
-fn plan_config(epsilon: f64) -> FederationConfig {
-    let mut cfg = FederationConfig::paper_default(50);
-    cfg.cost_model = fedaqp_smc::CostModel::zero();
-    cfg.n_min = 3;
-    cfg.epsilon = epsilon;
-    cfg
-}
-
-/// A federation with a small categorical dimension for plan tests.
-fn plan_federation(epsilon: f64) -> Federation {
-    Federation::build(plan_config(epsilon), plan_schema(), plan_partitions()).unwrap()
-}
-
-/// The seeded mixed workload: one plan of every kind.
-fn mixed_plans() -> Vec<QueryPlan> {
-    vec![
-        QueryPlan::Scalar {
-            query: count_query(100, 800),
-            sampling_rate: 0.2,
-            epsilon: 1.0,
-            delta: 1e-3,
-        },
-        QueryPlan::Derived {
-            query: count_query(0, 900),
-            statistic: DerivedStatistic::Average,
-            sampling_rate: 0.2,
-            epsilon: 1.0,
-            delta: 1e-3,
-        },
-        QueryPlan::GroupBy {
-            base: count_query(0, 999),
-            statistic: None,
-            group_dim: 1,
-            threshold: 0.0,
-            sampling_rate: 0.2,
-            epsilon: 2.5,
-            delta: 1e-3,
-        },
-        QueryPlan::Extreme {
-            dim: 0,
-            extreme: Extreme::Max,
-            epsilon: 5.0,
-        },
-    ]
 }
 
 /// The acceptance bar of the plan redesign: a seeded mixed batch — scalar,
@@ -773,47 +699,6 @@ fn connect_and_bind_failures_are_clean() {
 // Sharded deployment: coordinator federating shard-mode servers.
 // ---------------------------------------------------------------------------
 
-/// Builds the plan-test federation as `n_shards` contiguous engine
-/// shards, each behind its own shard-mode loopback server. Returns the
-/// engines (kept alive for shutdown) alongside their servers.
-fn spawn_shard_grid(n_shards: usize) -> (Vec<FederationEngine>, Vec<LoopbackServer>) {
-    let cfg = plan_config(1.0);
-    let mut partitions = plan_partitions().into_iter();
-    let (base, extra) = (cfg.n_providers / n_shards, cfg.n_providers % n_shards);
-    let mut offset = 0usize;
-    let mut engines = Vec::with_capacity(n_shards);
-    let mut servers = Vec::with_capacity(n_shards);
-    for s in 0..n_shards {
-        let k = base + usize::from(s < extra);
-        let mut shard_cfg = cfg.clone();
-        shard_cfg.n_providers = k;
-        shard_cfg.provider_lane_base = cfg.provider_lane_base + offset as u64;
-        let shard_partitions: Vec<Vec<Row>> = partitions.by_ref().take(k).collect();
-        let engine = FederationEngine::start(
-            Federation::build(shard_cfg, plan_schema(), shard_partitions).unwrap(),
-        );
-        servers.push(LoopbackServer::shard(engine.handle()).unwrap());
-        engines.push(engine);
-        offset += k;
-    }
-    (engines, servers)
-}
-
-/// Connects a coordinator to the given shard servers and serves it to
-/// analysts on its own loopback port.
-fn spawn_coordinator(servers: &[LoopbackServer], options: ServeOptions) -> LoopbackServer {
-    let shards: Vec<Box<dyn fedaqp_core::ShardBackend>> = servers
-        .iter()
-        .map(|s| {
-            Box::new(RemoteShard::connect(s.addr()).unwrap()) as Box<dyn fedaqp_core::ShardBackend>
-        })
-        .collect();
-    let federation =
-        fedaqp_core::ShardedFederation::from_backends(plan_config(1.0), plan_schema(), shards)
-            .unwrap();
-    LoopbackServer::coordinator(federation, options).unwrap()
-}
-
 /// The tentpole's acceptance bar, over real sockets: a coordinator
 /// federating TWO engine shards answers the seeded mixed plans — and a
 /// plain scalar query — byte-identically to one in-process engine
@@ -917,6 +802,109 @@ fn a_dead_shard_is_typed_shard_unavailable_and_the_charge_is_kept() {
     // The ledger counts charges, and the failed plan WAS charged — the
     // status frame agrees with the fail-closed story.
     assert_eq!(status.queries_answered, 1);
+
+    drop(client);
+    coordinator.shutdown();
+    for server in shard_servers {
+        server.shutdown();
+    }
+    for engine in engines {
+        engine.shutdown();
+    }
+}
+
+/// Warm plans leave idle connections in the coordinator's shard pools;
+/// restarting a shard on the same address leaves every one of them stale.
+/// The next plan still succeeds, byte-identical to the in-process engine:
+/// the fault on a stale connection empties the pool, and the retry
+/// reaches the restarted shard on a fresh connection. Each plan kind is
+/// run right after its own restart, so both the scatter's retried begin
+/// and the extreme fragment's second try meet a stale pool.
+#[test]
+fn a_restarted_shard_is_reached_on_a_fresh_connection() {
+    let (mut engines, mut shard_servers) = spawn_shard_grid(2);
+    let coordinator = spawn_coordinator(&shard_servers, ServeOptions::unlimited());
+    let addr = shard_servers[1].addr().to_owned();
+    let plans = mixed_plans();
+
+    let mut client = RemoteFederation::connect(coordinator.addr()).unwrap();
+    let mut remote: Vec<_> = plans.iter().map(|p| client.run_plan(p).unwrap()).collect();
+    let mut restarted: Option<FederationServer> = None;
+    for plan in &plans {
+        // Shut the shard down and bind a new one with the same data and
+        // config on the same address.
+        match restarted.take() {
+            Some(server) => server.shutdown(),
+            None => shard_servers.pop().unwrap().shutdown(),
+        }
+        engines.pop().unwrap().shutdown();
+        let engine = FederationEngine::start(shard_federations(2).pop().unwrap());
+        restarted = Some(FederationServer::bind_shard(&addr, engine.handle()).unwrap());
+        engines.push(engine);
+        remote.push(client.run_plan(plan).unwrap());
+    }
+
+    let local: Vec<_> = plan_federation(1.0).with_engine(|engine| {
+        plans
+            .iter()
+            .chain(&plans)
+            .map(|plan| engine.run_plan(plan).unwrap())
+            .collect()
+    });
+    assert_eq!(remote.len(), local.len());
+    for (r, l) in remote.iter().zip(&local) {
+        assert_eq!(r.result, l.result, "released result");
+        assert_eq!(r.cost, l.cost, "charged cost");
+    }
+
+    drop(client);
+    coordinator.shutdown();
+    if let Some(server) = restarted {
+        server.shutdown();
+    }
+    for server in shard_servers {
+        server.shutdown();
+    }
+    for engine in engines {
+        engine.shutdown();
+    }
+}
+
+/// A shard whose engine shut down after warm plans — its server still
+/// accepting, its pooled connections still open — fails the next plan
+/// with the typed `shard-unavailable` error, on the pooled connection
+/// and on the retry's fresh one alike, and the plan's charge is kept.
+#[test]
+fn a_shard_engine_shut_down_after_warm_plans_is_typed_and_the_charge_is_kept() {
+    let (mut engines, shard_servers) = spawn_shard_grid(2);
+    let coordinator = spawn_coordinator(&shard_servers, ServeOptions::with_budget(50.0, 0.5));
+    let plans = mixed_plans();
+
+    let mut client = RemoteFederation::connect(coordinator.addr()).unwrap();
+    for plan in &plans {
+        client.run_plan(plan).unwrap();
+    }
+    let before = client.budget_status().unwrap();
+    engines.pop().unwrap().shutdown();
+
+    let plan = &plans[0];
+    let expected = plan_federation(1.0).with_engine(|engine| engine.run_plan(plan).unwrap().cost);
+    match client.run_plan(plan) {
+        Err(NetError::Remote { code, message }) => {
+            assert_eq!(code, ErrorCode::ShardUnavailable);
+            assert!(message.contains("shard-unavailable"), "{message}");
+        }
+        other => panic!("expected a typed shard fault, got {other:?}"),
+    }
+    // Fail-closed: the failed plan's whole charge stays on the ledger.
+    let after = client.budget_status().unwrap();
+    assert!(
+        (after.spent_eps - before.spent_eps - expected.eps).abs() < 1e-9,
+        "whole plan cost kept: {} -> {}",
+        before.spent_eps,
+        after.spent_eps
+    );
+    assert_eq!(after.queries_answered, before.queries_answered + 1);
 
     drop(client);
     coordinator.shutdown();
@@ -1051,6 +1039,81 @@ fn shard_servers_refuse_old_hellos_and_analyst_frames() {
     ));
 
     drop(old);
+    drop(stream);
+    server.shutdown();
+    engine.shutdown();
+}
+
+/// A shard rejecting an allocation aborts the fragment, so a partial
+/// request pipelined right behind the allocation gets a typed error
+/// instead of waiting forever on workers no allocation will reach — and
+/// the connection serves the next fragment.
+#[test]
+fn a_rejected_pipelined_allocation_aborts_the_fragment() {
+    use fedaqp_net::wire::{
+        encode_frame, read_frame, write_frame, FragmentAllocationFrame, FragmentRequest, Frame,
+        Hello,
+    };
+    use std::io::Write;
+
+    let engine = FederationEngine::start(federation(1.0));
+    let budget = engine.handle().default_budget().unwrap();
+    let server = LoopbackServer::shard(engine.handle()).unwrap();
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    // A regression would hang this test, not fail it; bound the wait.
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    write_frame(
+        &mut stream,
+        &Frame::Hello(Hello {
+            analyst: "coordinator".into(),
+        }),
+    )
+    .unwrap();
+    assert!(matches!(
+        read_frame(&mut stream).unwrap(),
+        Frame::HelloAck(_)
+    ));
+
+    let fragment = Frame::Fragment(FragmentRequest {
+        query: count_query(100, 800),
+        sampling_rate: 0.2,
+        eps_o: budget.eps_o,
+        eps_s: budget.eps_s,
+        eps_e: budget.eps_e,
+        delta: budget.delta,
+        occurrence: 0,
+    });
+    for round in 0..2 {
+        write_frame(&mut stream, &fragment).unwrap();
+        assert!(matches!(
+            read_frame(&mut stream).unwrap(),
+            Frame::FragmentQueued
+        ));
+        write_frame(&mut stream, &Frame::FragmentSummariesRequest).unwrap();
+        assert!(matches!(
+            read_frame(&mut stream).unwrap(),
+            Frame::FragmentSummaries(_)
+        ));
+        // Three allocations for four providers, with the partial request
+        // in the same write.
+        let mut pipelined = encode_frame(&Frame::FragmentAllocation(FragmentAllocationFrame {
+            allocations: vec![1, 1, 1],
+        }))
+        .unwrap();
+        pipelined.extend(encode_frame(&Frame::FragmentPartialRequest).unwrap());
+        stream.write_all(&pipelined).unwrap();
+        match read_frame(&mut stream).unwrap() {
+            Frame::Error(e) => assert!(e.message.contains("allocation"), "{}", e.message),
+            other => panic!("round {round}: expected a typed rejection, got {other:?}"),
+        }
+        match read_frame(&mut stream).unwrap() {
+            Frame::Error(e) => assert!(e.message.contains("no fragment"), "{}", e.message),
+            other => panic!("round {round}: expected a typed lifecycle error, got {other:?}"),
+        }
+    }
+
     drop(stream);
     server.shutdown();
     engine.shutdown();
