@@ -70,10 +70,10 @@ pub use plan::{
 };
 pub use protocol::{LocalOutcome, PhaseTimings, ProviderSummary};
 pub use provider::DataProvider;
-pub use session::{AnalystSession, ConcurrentSession, SessionPlan};
+pub use session::{ConcurrentSession, SessionPlan};
 pub use shard::{
     ExtremeFragmentSpec, FragmentHandle, FragmentPartial, FragmentSpec, PartialRow, ShardBackend,
-    ShardedAnswer, ShardedFederation, ShardedPendingAnswer, ShardedSession, ShardedSub,
+    ShardedFederation, ShardedSub,
 };
 pub use stream::{IngestReport, LiveFederation, RefreshPolicy};
 

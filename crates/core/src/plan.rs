@@ -178,10 +178,12 @@ impl PlanAnswer {
     }
 }
 
-/// What one resolved scalar sub-query hands back to the plan compiler —
-/// the release, its confidence interval, and its latency accounting,
-/// stripped of backend-specific diagnostics.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One resolved scalar sub-query as every backend releases it: the value,
+/// its confidence interval, its latency accounting, and the public scan
+/// diagnostics an analyst may see. The simulation-boundary diagnostics of
+/// an [`crate::EngineAnswer`] (raw estimates, smooth sensitivities) are
+/// stripped, so this is also what the server puts on the wire.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SubOutcome {
     /// The DP-released value.
     pub value: f64,
@@ -192,6 +194,12 @@ pub struct SubOutcome {
     /// Total clusters scanned across providers (public work proxy; what
     /// online snapshots report as their progress measure).
     pub clusters_scanned: u64,
+    /// Total covering-set size across providers (`Σ N^Q_i`).
+    pub covering_total: u64,
+    /// How many providers took the approximate path.
+    pub approximated_providers: u64,
+    /// Per-provider sample-size allocations, in global provider order.
+    pub allocations: Vec<u64>,
 }
 
 /// What one resolved extreme selection hands back to the plan compiler.
@@ -269,6 +277,26 @@ pub trait PlanBackend: Clone {
         }
         Ok(())
     }
+
+    /// Validates `plan`, then compiles it and submits **all** of its
+    /// sub-queries before returning. Charges nothing: a budgeted caller
+    /// goes through [`crate::ConcurrentSession::submit_plan`], which
+    /// validates, charges the whole plan atomically, then submits.
+    fn submit_plan(&self, plan: &QueryPlan) -> Result<PendingPlan<Self>> {
+        validate_plan_with(self, plan)?;
+        submit_plan_with(self, plan)
+    }
+
+    /// `EXPLAIN`: the optimizer's decisions for `plan`, computed from the
+    /// plan and the backend's public metadata snapshot alone — nothing is
+    /// dispatched, no data is touched, and (because the inputs are the
+    /// analyst's own query plus already-public Algorithm 1 metadata) no
+    /// budget is charged. The reported pruning, reuse, and ordering are
+    /// exactly what [`Self::submit_plan`] would do under the current
+    /// [`crate::config::OptimizerConfig`].
+    fn explain_plan(&self, plan: &QueryPlan) -> Result<PlanExplanation> {
+        explain_plan_with(self, plan)
+    }
 }
 
 /// Budget-phase sanity shared by every backend (and by
@@ -324,6 +352,9 @@ impl PlanBackend for EngineHandle {
             ci_halfwidth: answer.ci_halfwidth,
             timings: answer.timings,
             clusters_scanned: answer.clusters_scanned as u64,
+            covering_total: answer.covering_total as u64,
+            approximated_providers: answer.approximated_providers as u64,
+            allocations: answer.allocations,
         })
     }
 
@@ -895,15 +926,8 @@ pub(crate) fn submit_plan_with<B: PlanBackend>(
     })
 }
 
-/// `EXPLAIN` on any backend: the optimizer's decisions for `plan`,
-/// computed from the plan and the backend's public metadata snapshot
-/// alone — nothing is dispatched, no data is touched, and (because the
-/// inputs are the analyst's own query plus already-public Algorithm 1
-/// metadata) no budget is charged.
-pub(crate) fn explain_plan_with<B: PlanBackend>(
-    backend: &B,
-    plan: &QueryPlan,
-) -> Result<PlanExplanation> {
+/// [`PlanBackend::explain_plan`] on any backend.
+fn explain_plan_with<B: PlanBackend>(backend: &B, plan: &QueryPlan) -> Result<PlanExplanation> {
     validate_plan_with(backend, plan)?;
     let opt = backend.config().optimizer;
     let snap = backend.snapshot();
@@ -1033,16 +1057,7 @@ impl EngineHandle {
     /// Validation happens up front ([`Self::validate_plan`]), so a
     /// rejected plan touches no data and costs no budget.
     pub fn submit_plan(&self, plan: &QueryPlan) -> Result<PendingPlan> {
-        self.validate_plan(plan)?;
-        self.submit_plan_validated(plan)
-    }
-
-    /// [`Self::submit_plan`] minus the validation pass — for callers that
-    /// already ran [`Self::validate_plan`] on this exact plan (a session
-    /// validates, charges atomically, then submits; re-validating would
-    /// re-enumerate a group-by's domain for nothing).
-    pub(crate) fn submit_plan_validated(&self, plan: &QueryPlan) -> Result<PendingPlan> {
-        submit_plan_with(self, plan)
+        PlanBackend::submit_plan(self, plan)
     }
 
     /// Submits a plan and waits it out (submit + wait).
@@ -1078,13 +1093,7 @@ impl EngineHandle {
         self.submit_plan(plan)?.wait()
     }
 
-    /// `EXPLAIN`: the optimizer's decisions for `plan`, computed from the
-    /// plan and the engine's public metadata snapshot alone — nothing is
-    /// dispatched, no data is touched, and (because the inputs are the
-    /// analyst's own query plus already-public Algorithm 1 metadata) no
-    /// budget is charged. The reported pruning, reuse, and ordering are
-    /// exactly what [`Self::submit_plan`] would do under the current
-    /// [`crate::config::OptimizerConfig`].
+    /// `EXPLAIN` on the engine (see [`PlanBackend::explain_plan`]).
     pub fn explain_plan(&self, plan: &QueryPlan) -> Result<PlanExplanation> {
         explain_plan_with(self, plan)
     }

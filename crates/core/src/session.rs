@@ -2,9 +2,11 @@
 //!
 //! "In the online query answering settings under DP, the end user is
 //! limited by a total privacy budget of (ξ, ψ). … The analyst can continue
-//! sending queries until their total budget is consumed." A session bundles
-//! a federation with a [`BudgetAccountant`] and charges every query *before*
-//! touching data. Two budget plans are offered:
+//! sending queries until their total budget is consumed." A
+//! [`ConcurrentSession`] bundles a plan backend — the in-process engine or
+//! the sharded coordinator — with a thread-safe budget ledger and charges
+//! every request *before* any data is touched. Two budget plans are
+//! offered:
 //!
 //! * [`SessionPlan::PayAsYouGo`] — every query costs the federation's
 //!   configured `(ε, δ)` under plain sequential composition.
@@ -12,13 +14,14 @@
 //!   many queries the session will serve; each gets the (larger) per-query
 //!   budget of §6.6's advanced composition.
 
-use fedaqp_dp::{advanced_per_query, BudgetAccountant, PrivacyCost, QueryBudget, SharedAccountant};
+use fedaqp_dp::{advanced_per_query, PrivacyCost, QueryBudget, SharedAccountant};
 use fedaqp_model::{QueryPlan, RangeQuery};
 
-use crate::derived::{run_derived, DerivedAnswer, DerivedStatistic};
-use crate::engine::{EngineAnswer, EngineHandle, PendingAnswer};
-use crate::federation::{Federation, QueryAnswer};
-use crate::plan::{PendingPlan, PlanAnswer};
+use crate::engine::EngineHandle;
+use crate::optimizer::PlanExplanation;
+use crate::plan::{
+    submit_plan_with, validate_plan_with, PendingPlan, PlanAnswer, PlanBackend, SubOutcome,
+};
 use crate::{CoreError, Result};
 
 /// How the session stretches the analyst's `(ξ, ψ)`.
@@ -35,133 +38,31 @@ pub enum SessionPlan {
     },
 }
 
-/// An interactive analyst session over a federation.
-#[derive(Debug)]
-pub struct AnalystSession {
-    federation: Federation,
-    accountant: BudgetAccountant,
-    plan: SessionPlan,
-    per_query: QueryBudget,
-}
-
-impl AnalystSession {
-    /// Opens a session with total budget `(xi, psi)` under `plan`.
-    pub fn open(federation: Federation, xi: f64, psi: f64, plan: SessionPlan) -> Result<Self> {
-        let accountant = BudgetAccountant::new(xi, psi)?;
-        let hp = federation.config().hyperparams;
-        let per_query = match plan {
-            SessionPlan::PayAsYouGo => {
-                QueryBudget::split(federation.config().epsilon, federation.config().delta, hp)?
-            }
-            SessionPlan::AdvancedComposition { planned_queries } => {
-                let per = advanced_per_query(xi, psi, planned_queries)?;
-                QueryBudget::split(per.eps, per.delta, hp)?
-            }
-        };
-        Ok(Self {
-            federation,
-            accountant,
-            plan,
-            per_query,
-        })
-    }
-
-    /// The session's budget plan.
-    #[inline]
-    pub fn plan(&self) -> SessionPlan {
-        self.plan
-    }
-
-    /// The `(ε, δ)` each query costs under this session's plan.
-    pub fn per_query_cost(&self) -> PrivacyCost {
-        self.per_query.cost()
-    }
-
-    /// Remaining total budget.
-    pub fn remaining(&self) -> PrivacyCost {
-        self.accountant.remaining()
-    }
-
-    /// Queries answered so far.
-    pub fn queries_answered(&self) -> u64 {
-        self.accountant.queries_answered()
-    }
-
-    /// Whether another query of this session's cost still fits.
-    pub fn can_query(&self) -> bool {
-        self.accountant.can_afford(self.per_query.cost())
-    }
-
-    /// Read access to the underlying federation (schema, providers, …).
-    pub fn federation(&self) -> &Federation {
-        &self.federation
-    }
-
-    /// Answers one private query, charging the session budget first.
-    pub fn query(&mut self, query: &RangeQuery, sampling_rate: f64) -> Result<QueryAnswer> {
-        self.accountant
-            .charge(self.per_query.cost())
-            .map_err(CoreError::Dp)?;
-        self.federation
-            .run_with_budget(query, sampling_rate, &self.per_query)
-    }
-
-    /// Answers a derived statistic (AVG/VAR/STD), charging the cost of its
-    /// sub-queries (each sub-query costs one per-query budget).
-    pub fn query_derived(
-        &mut self,
-        query: &RangeQuery,
-        statistic: DerivedStatistic,
-        sampling_rate: f64,
-    ) -> Result<DerivedAnswer> {
-        let n = statistic.sub_queries() as f64;
-        let total = PrivacyCost {
-            eps: self.per_query.cost().eps * n,
-            delta: self.per_query.cost().delta * n,
-        };
-        if !self.accountant.can_afford(total) {
-            // Surface the same error charge() would produce.
-            self.accountant.charge(total).map_err(CoreError::Dp)?;
-        }
-        self.accountant.charge(total).map_err(CoreError::Dp)?;
-        run_derived(
-            &mut self.federation,
-            query,
-            statistic,
-            sampling_rate,
-            self.per_query.cost().eps * n,
-            self.per_query.cost().delta * n,
-        )
-    }
-
-    /// Closes the session, returning the federation and the spent budget.
-    pub fn close(self) -> (Federation, PrivacyCost) {
-        (self.federation, self.accountant.spent())
-    }
-}
-
-/// An analyst session over a concurrent [`EngineHandle`]: the §5.4 budget
-/// semantics of [`AnalystSession`], safe to clone across analyst threads.
+/// An analyst session over any [`PlanBackend`] — the in-process
+/// [`EngineHandle`] (the default) or the sharded coordinator
+/// ([`crate::ShardedFederation`]) — safe to clone across analyst threads.
 ///
 /// The accountant sits behind a [`SharedAccountant`], so the affordability
 /// check and the charge are one atomic step: N racing queries can never
 /// jointly drive the session past its `(ξ, ψ)` — losers of the race are
 /// rejected *before* any provider touches data. A charge is kept even if
-/// the query subsequently fails inside the engine (fail-closed: the
-/// conservative direction for privacy).
+/// the query subsequently fails inside the backend, a dropped shard
+/// included (fail-closed: released fragments may already have spent the
+/// budget's worth, so the conservative direction for privacy is to keep
+/// it).
 #[derive(Debug, Clone)]
-pub struct ConcurrentSession {
-    handle: EngineHandle,
+pub struct ConcurrentSession<B: PlanBackend = EngineHandle> {
+    backend: B,
     accountant: SharedAccountant,
     plan: SessionPlan,
     per_query: QueryBudget,
 }
 
-impl ConcurrentSession {
+impl<B: PlanBackend> ConcurrentSession<B> {
     /// Opens a session with total budget `(xi, psi)` under `plan`.
-    pub fn open(handle: EngineHandle, xi: f64, psi: f64, plan: SessionPlan) -> Result<Self> {
+    pub fn open(backend: B, xi: f64, psi: f64, plan: SessionPlan) -> Result<Self> {
         let accountant = SharedAccountant::new(xi, psi).map_err(CoreError::Dp)?;
-        Self::open_with_accountant(handle, accountant, plan)
+        Self::open_with_accountant(backend, accountant, plan)
     }
 
     /// Opens a session over an externally owned ledger.
@@ -172,22 +73,21 @@ impl ConcurrentSession {
     /// analyst's `(ξ, ψ)`: every session opened on the same accountant
     /// charges the same atomic ledger.
     pub fn open_with_accountant(
-        handle: EngineHandle,
+        backend: B,
         accountant: SharedAccountant,
         plan: SessionPlan,
     ) -> Result<Self> {
-        let config = handle.config();
-        let hp = config.hyperparams;
+        let config = backend.config();
         let total = accountant.total();
         let per_query = match plan {
             SessionPlan::PayAsYouGo => config.query_budget()?,
             SessionPlan::AdvancedComposition { planned_queries } => {
                 let per = advanced_per_query(total.eps, total.delta, planned_queries)?;
-                QueryBudget::split(per.eps, per.delta, hp)?
+                QueryBudget::split(per.eps, per.delta, config.hyperparams)?
             }
         };
         Ok(Self {
-            handle,
+            backend,
             accountant,
             plan,
             per_query,
@@ -200,7 +100,7 @@ impl ConcurrentSession {
         self.plan
     }
 
-    /// The `(ε, δ)` each query costs under this session's plan.
+    /// The `(ε, δ)` each scalar query costs under this session's plan.
     pub fn per_query_cost(&self) -> PrivacyCost {
         self.per_query.cost()
     }
@@ -221,14 +121,14 @@ impl ConcurrentSession {
     }
 
     /// Whether another query of this session's cost still fits (advisory:
-    /// the authoritative gate is the atomic charge inside [`Self::query`]).
+    /// the authoritative gate is the atomic charge inside [`Self::submit`]).
     pub fn can_query(&self) -> bool {
         self.accountant.can_afford(self.per_query.cost())
     }
 
-    /// The engine handle this session queries through.
-    pub fn handle(&self) -> &EngineHandle {
-        &self.handle
+    /// The backend this session queries through.
+    pub fn handle(&self) -> &B {
+        &self.backend
     }
 
     /// The shared ledger this session charges.
@@ -237,42 +137,41 @@ impl ConcurrentSession {
     }
 
     /// Atomically charges the session budget, then submits the query to
-    /// the engine *without* waiting for the answer. Submitting a whole
+    /// the backend *without* waiting for the answer. Submitting a whole
     /// batch before the first wait lets the worker pool pipeline one
     /// analyst's queries.
     ///
-    /// A request the engine would reject up front (bad sampling rate,
+    /// A request the backend would reject up front (bad sampling rate,
     /// unknown dimension) is validated *before* the charge — it touches
     /// no data, so it must not cost budget. Once a query is dispatched,
-    /// the charge is kept even if it later fails inside the engine
-    /// (fail-closed: the conservative direction for privacy).
-    pub fn submit(&self, query: &RangeQuery, sampling_rate: f64) -> Result<PendingAnswer> {
-        self.handle
-            .validate(query, sampling_rate, &self.per_query)?;
+    /// the charge is kept even if it later fails (fail-closed).
+    pub fn submit(&self, query: &RangeQuery, sampling_rate: f64) -> Result<B::Sub> {
+        self.backend
+            .validate_sub(query, sampling_rate, &self.per_query)?;
         self.accountant
             .charge(self.per_query.cost())
             .map_err(CoreError::Dp)?;
-        self.handle
-            .submit_with_budget(query, sampling_rate, &self.per_query)
+        self.backend
+            .submit_sub(query, sampling_rate, &self.per_query)
     }
 
     /// Answers one private query, atomically charging the session budget
     /// first.
-    pub fn query(&self, query: &RangeQuery, sampling_rate: f64) -> Result<EngineAnswer> {
-        self.submit(query, sampling_rate)?.wait()
+    pub fn query(&self, query: &RangeQuery, sampling_rate: f64) -> Result<SubOutcome> {
+        self.backend.wait_sub(self.submit(query, sampling_rate)?)
     }
 
     /// Atomically charges a plan's *entire* declared
     /// [`QueryPlan::total_cost`] up front, then compiles and submits every
     /// sub-query without waiting — so a group-by's per-group queries
-    /// pipeline on the worker pool while the budget ledger already covers
+    /// pipeline on the backend while the budget ledger already covers
     /// all of them (racing plans cannot jointly overspend `(ξ, ψ)`, and a
     /// plan can never be half-charged).
     ///
-    /// A plan the engine would reject is validated *before* the charge —
+    /// A plan the backend would reject is validated *before* the charge —
     /// it touches no data, so it must not cost budget. Once dispatched,
     /// the whole charge is kept even if a sub-query later fails
-    /// (fail-closed: the conservative direction for privacy).
+    /// (fail-closed).
     ///
     /// A plan always charges its *declared* cost: unlike [`Self::submit`],
     /// whose per-query `(ε, δ)` comes from the session's [`SessionPlan`]
@@ -281,13 +180,13 @@ impl ConcurrentSession {
     /// [`QueryPlan::total_cost`] regardless of the plan the session was
     /// opened with — the sequential-composition accounting, which is never
     /// an undercharge.
-    pub fn submit_plan(&self, plan: &QueryPlan) -> Result<PendingPlan> {
-        self.handle.validate_plan(plan)?;
+    pub fn submit_plan(&self, plan: &QueryPlan) -> Result<PendingPlan<B>> {
+        validate_plan_with(&self.backend, plan)?;
         let (eps, delta) = plan.total_cost();
         self.accountant
             .charge(PrivacyCost { eps, delta })
             .map_err(CoreError::Dp)?;
-        self.handle.submit_plan_validated(plan)
+        submit_plan_with(&self.backend, plan)
     }
 
     /// Answers one plan, atomically charging its whole cost first.
@@ -301,8 +200,8 @@ impl ConcurrentSession {
     /// request that touches no data must not cost budget), so an analyst
     /// can inspect pruning/dedup/ordering decisions before committing
     /// their `(ξ, ψ)` to the plan itself.
-    pub fn explain_plan(&self, plan: &QueryPlan) -> Result<crate::optimizer::PlanExplanation> {
-        self.handle.explain_plan(plan)
+    pub fn explain_plan(&self, plan: &QueryPlan) -> Result<PlanExplanation> {
+        self.backend.explain_plan(plan)
     }
 }
 
@@ -310,7 +209,8 @@ impl ConcurrentSession {
 mod tests {
     use super::*;
     use crate::config::FederationConfig;
-    use fedaqp_model::{Aggregate, Dimension, Domain, Range, Row, Schema};
+    use crate::federation::Federation;
+    use fedaqp_model::{Aggregate, DerivedStatistic, Dimension, Domain, Range, Row, Schema};
 
     fn federation(epsilon: f64) -> Federation {
         let schema = Schema::new(vec![Dimension::new("x", Domain::new(0, 99).unwrap())]).unwrap();
@@ -333,61 +233,84 @@ mod tests {
 
     #[test]
     fn pay_as_you_go_exhausts_after_xi_over_eps_queries() {
-        let mut session =
-            AnalystSession::open(federation(1.0), 3.0, 1e-2, SessionPlan::PayAsYouGo).unwrap();
-        let mut answered = 0;
-        while session.can_query() {
-            session.query(&query(), 0.2).unwrap();
-            answered += 1;
-            assert!(answered < 50);
-        }
-        assert_eq!(answered, 3);
-        assert!(session.query(&query(), 0.2).is_err());
-        assert_eq!(session.queries_answered(), 3);
+        federation(1.0).with_engine(|engine| {
+            let session =
+                ConcurrentSession::open(engine.clone(), 3.0, 1e-2, SessionPlan::PayAsYouGo)
+                    .unwrap();
+            let mut answered = 0;
+            while session.can_query() {
+                session.query(&query(), 0.2).unwrap();
+                answered += 1;
+                assert!(answered < 50);
+            }
+            assert_eq!(answered, 3);
+            assert!(session.query(&query(), 0.2).is_err());
+            assert_eq!(session.queries_answered(), 3);
+        });
     }
 
     #[test]
     fn advanced_plan_gives_larger_per_query_epsilon() {
         let n = 1000u64;
-        let adv = AnalystSession::open(
-            federation(1.0),
-            10.0,
-            1e-4,
-            SessionPlan::AdvancedComposition { planned_queries: n },
-        )
-        .unwrap();
-        let seq_eps = 10.0 / n as f64;
-        assert!(
-            adv.per_query_cost().eps > seq_eps,
-            "advanced {} should beat sequential {seq_eps}",
-            adv.per_query_cost().eps
-        );
+        federation(1.0).with_engine(|engine| {
+            let adv = ConcurrentSession::open(
+                engine.clone(),
+                10.0,
+                1e-4,
+                SessionPlan::AdvancedComposition { planned_queries: n },
+            )
+            .unwrap();
+            let seq_eps = 10.0 / n as f64;
+            assert!(
+                adv.per_query_cost().eps > seq_eps,
+                "advanced {} should beat sequential {seq_eps}",
+                adv.per_query_cost().eps
+            );
+        });
     }
 
     #[test]
     fn failed_charge_leaves_budget_untouched() {
-        let mut session =
-            AnalystSession::open(federation(5.0), 1.0, 1e-3, SessionPlan::PayAsYouGo).unwrap();
-        // ε per query = 5 > ξ = 1: first query already unaffordable.
-        assert!(!session.can_query());
-        assert!(session.query(&query(), 0.2).is_err());
-        assert_eq!(session.remaining().eps, 1.0);
+        federation(5.0).with_engine(|engine| {
+            let session =
+                ConcurrentSession::open(engine.clone(), 1.0, 1e-3, SessionPlan::PayAsYouGo)
+                    .unwrap();
+            // ε per query = 5 > ξ = 1: first query already unaffordable.
+            assert!(!session.can_query());
+            assert!(session.query(&query(), 0.2).is_err());
+            assert_eq!(session.remaining().eps, 1.0);
+        });
     }
 
     #[test]
     fn derived_queries_charge_multiples() {
-        let mut session =
-            AnalystSession::open(federation(1.0), 10.0, 1e-2, SessionPlan::PayAsYouGo).unwrap();
-        let before = session.remaining().eps;
-        session
-            .query_derived(&query(), DerivedStatistic::Average, 0.2)
-            .unwrap();
-        let after = session.remaining().eps;
-        assert!(
-            (before - after - 2.0).abs() < 1e-9,
-            "charged {}",
-            before - after
-        );
+        // A derived statistic is a plan whose declared (ε, δ) covers all
+        // of its sub-queries; the session charges exactly that, up front.
+        federation(1.0).with_engine(|engine| {
+            let session =
+                ConcurrentSession::open(engine.clone(), 10.0, 1e-2, SessionPlan::PayAsYouGo)
+                    .unwrap();
+            let plan = QueryPlan::Derived {
+                query: query(),
+                statistic: DerivedStatistic::Average,
+                sampling_rate: 0.2,
+                epsilon: 2.0 * session.per_query_cost().eps,
+                delta: 2.0 * session.per_query_cost().delta,
+            };
+            let before = session.remaining().eps;
+            assert!(session
+                .run_plan(&plan)
+                .unwrap()
+                .value()
+                .unwrap()
+                .is_finite());
+            let after = session.remaining().eps;
+            assert!(
+                (before - after - 2.0).abs() < 1e-9,
+                "charged {}",
+                before - after
+            );
+        });
     }
 
     #[test]
@@ -461,10 +384,12 @@ mod tests {
 
     #[test]
     fn close_reports_spend() {
-        let mut session =
-            AnalystSession::open(federation(1.0), 5.0, 1e-2, SessionPlan::PayAsYouGo).unwrap();
-        session.query(&query(), 0.2).unwrap();
-        let (_fed, spent) = session.close();
-        assert!((spent.eps - 1.0).abs() < 1e-9);
+        federation(1.0).with_engine(|engine| {
+            let session =
+                ConcurrentSession::open(engine.clone(), 5.0, 1e-2, SessionPlan::PayAsYouGo)
+                    .unwrap();
+            session.query(&query(), 0.2).unwrap();
+            assert!((session.spent().eps - 1.0).abs() < 1e-9);
+        });
     }
 }

@@ -271,20 +271,31 @@ impl RemoteFederation {
         Ok(())
     }
 
+    /// Sends one request at the negotiated version, after draining the
+    /// replies still owed. A frame kind newer than the connection fails
+    /// with [`NetError::UnsupportedVersion`] carrying both versions,
+    /// before anything is written.
+    fn send(&mut self, frame: &Frame) -> Result<()> {
+        let needed = frame.min_version();
+        if self.version < needed {
+            return Err(NetError::UnsupportedVersion {
+                requested: needed,
+                supported: self.version,
+            });
+        }
+        self.drain_outstanding()?;
+        write_frame_at(&mut self.stream, frame, self.version)
+    }
+
     /// Sends one query without waiting for its answer — the remote mirror
     /// of `EngineHandle::submit`. Pipelining is allowed: waits resolve in
     /// submission order, and the reply of a pending query that is dropped
     /// un-waited is discarded on the next request.
     pub fn submit(&mut self, query: &RangeQuery, sampling_rate: f64) -> Result<PendingRemote<'_>> {
-        self.drain_outstanding()?;
-        write_frame_at(
-            &mut self.stream,
-            &Frame::Query(QueryRequest {
-                query: query.clone(),
-                sampling_rate,
-            }),
-            self.version,
-        )?;
+        self.send(&Frame::Query(QueryRequest {
+            query: query.clone(),
+            sampling_rate,
+        }))?;
         self.outstanding += 1;
         Ok(PendingRemote { conn: self })
     }
@@ -302,18 +313,7 @@ impl RemoteFederation {
     /// Needs a v2 connection; against an older server this fails with
     /// [`NetError::UnsupportedVersion`] carrying both versions.
     pub fn submit_plan(&mut self, plan: &QueryPlan) -> Result<PendingRemotePlan<'_>> {
-        if self.version < 2 {
-            return Err(NetError::UnsupportedVersion {
-                requested: 2,
-                supported: self.version,
-            });
-        }
-        self.drain_outstanding()?;
-        write_frame_at(
-            &mut self.stream,
-            &Frame::Plan(PlanRequest { plan: plan.clone() }),
-            self.version,
-        )?;
+        self.send(&Frame::Plan(PlanRequest { plan: plan.clone() }))?;
         self.outstanding += 1;
         Ok(PendingRemotePlan { conn: self })
     }
@@ -331,18 +331,7 @@ impl RemoteFederation {
     /// Needs a v3 connection; against an older server this fails with
     /// [`NetError::UnsupportedVersion`] carrying both versions.
     pub fn explain_plan(&mut self, plan: &QueryPlan) -> Result<PlanExplanation> {
-        if self.version < 3 {
-            return Err(NetError::UnsupportedVersion {
-                requested: 3,
-                supported: self.version,
-            });
-        }
-        self.drain_outstanding()?;
-        write_frame_at(
-            &mut self.stream,
-            &Frame::Explain(ExplainRequest { plan: plan.clone() }),
-            self.version,
-        )?;
+        self.send(&Frame::Explain(ExplainRequest { plan: plan.clone() }))?;
         match self.read_reply_any()? {
             Reply::Explain(explanation) => Ok(explanation),
             _ => Err(NetError::Malformed("expected ExplainAnswer")),
@@ -361,12 +350,7 @@ impl RemoteFederation {
                 sampling_rate: spec.sampling_rate,
             })
             .collect();
-        self.drain_outstanding()?;
-        write_frame_at(
-            &mut self.stream,
-            &Frame::Batch(BatchRequest { specs }),
-            self.version,
-        )?;
+        self.send(&Frame::Batch(BatchRequest { specs }))?;
         let mut results = Vec::with_capacity(batch.len());
         for _ in 0..batch.len() {
             match self.read_reply() {
@@ -383,8 +367,7 @@ impl RemoteFederation {
 
     /// Asks the server for this analyst's session ledger.
     pub fn budget_status(&mut self) -> Result<BudgetStatus> {
-        self.drain_outstanding()?;
-        write_frame_at(&mut self.stream, &Frame::BudgetRequest, self.version)?;
+        self.send(&Frame::BudgetRequest)?;
         match read_frame(&mut self.stream)? {
             Frame::BudgetStatus(status) => Ok(status),
             Frame::Error(e) => Err(NetError::Remote {
@@ -403,14 +386,7 @@ impl RemoteFederation {
     /// Needs a v5 connection; against an older server this fails with
     /// [`NetError::UnsupportedVersion`] carrying both versions.
     pub fn metrics(&mut self) -> Result<Vec<WireMetric>> {
-        if self.version < 5 {
-            return Err(NetError::UnsupportedVersion {
-                requested: 5,
-                supported: self.version,
-            });
-        }
-        self.drain_outstanding()?;
-        write_frame_at(&mut self.stream, &Frame::Metrics, self.version)?;
+        self.send(&Frame::Metrics)?;
         match read_frame(&mut self.stream)? {
             Frame::MetricsAnswer(answer) => Ok(answer.metrics),
             Frame::Error(e) => Err(NetError::Remote {
@@ -444,24 +420,13 @@ impl RemoteFederation {
         rounds: u32,
         mut on_snapshot: impl FnMut(&PlanSnapshot),
     ) -> Result<PlanAnswer> {
-        if self.version < 6 {
-            return Err(NetError::UnsupportedVersion {
-                requested: 6,
-                supported: self.version,
-            });
-        }
-        self.drain_outstanding()?;
-        write_frame_at(
-            &mut self.stream,
-            &Frame::OnlinePlan(OnlinePlanRequest {
-                query: query.clone(),
-                sampling_rate,
-                epsilon,
-                delta,
-                rounds,
-            }),
-            self.version,
-        )?;
+        self.send(&Frame::OnlinePlan(OnlinePlanRequest {
+            query: query.clone(),
+            sampling_rate,
+            epsilon,
+            delta,
+            rounds,
+        }))?;
         let mut snapshots = Vec::new();
         loop {
             match read_frame(&mut self.stream)? {
@@ -515,27 +480,16 @@ impl RemoteFederation {
     /// Needs a v6 connection; against an older server this fails with
     /// [`NetError::UnsupportedVersion`] carrying both versions.
     pub fn ingest(&mut self, provider: u32, rows: &[Row]) -> Result<IngestAckFrame> {
-        if self.version < 6 {
-            return Err(NetError::UnsupportedVersion {
-                requested: 6,
-                supported: self.version,
-            });
-        }
-        self.drain_outstanding()?;
-        write_frame_at(
-            &mut self.stream,
-            &Frame::Ingest(IngestRequest {
-                provider,
-                rows: rows
-                    .iter()
-                    .map(|r| WireRow {
-                        values: r.values().to_vec(),
-                        measure: r.measure(),
-                    })
-                    .collect(),
-            }),
-            self.version,
-        )?;
+        self.send(&Frame::Ingest(IngestRequest {
+            provider,
+            rows: rows
+                .iter()
+                .map(|r| WireRow {
+                    values: r.values().to_vec(),
+                    measure: r.measure(),
+                })
+                .collect(),
+        }))?;
         match read_frame(&mut self.stream)? {
             Frame::IngestAck(ack) => Ok(ack),
             Frame::Error(e) => Err(NetError::Remote {

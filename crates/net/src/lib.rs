@@ -9,9 +9,12 @@
 //!   (`Hello`/`Query`/`Batch`/`Answer`/`Error`/`BudgetStatus`), hand-rolled
 //!   in the defensive style of `fedaqp_storage::codec`: hard frame cap,
 //!   bounded declared lengths, strict trailing-byte rejection.
-//! * [`FederationServer`] — a thread-per-connection TCP server over an
-//!   [`fedaqp_core::EngineHandle`]. Per-analyst budgets are charged
-//!   through [`fedaqp_dp::BudgetDirectory`]-backed
+//! * [`FederationServer`] — a thread-per-connection TCP server in one of
+//!   four roles: analysts served from an in-process engine, a sharded
+//!   coordinator, or a live (ingesting) federation — all through one
+//!   request handler generic over [`fedaqp_core::PlanBackend`] — or
+//!   fragment frames served to an upstream coordinator. Per-analyst
+//!   budgets are charged through [`fedaqp_dp::BudgetDirectory`]-backed
 //!   [`fedaqp_core::ConcurrentSession`]s, so concurrent (or reconnecting)
 //!   remote analysts can never overspend their `(ξ, ψ)`.
 //! * [`RemoteFederation`] — a blocking client mirroring the engine's

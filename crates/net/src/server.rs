@@ -1,14 +1,14 @@
 //! The TCP federation server: the engine's network face, in one of four
 //! roles.
 //!
-//! **Analyst server over an engine** ([`FederationServer::bind`]) wraps
+//! **Analyst server over an engine** ([`FederationServer::bind`]) serves
 //! an [`EngineHandle`] — the analyst-facing handle of the concurrent
-//! worker pool — and serves it over real sockets, thread-per-connection:
-//! the accept loop runs on one background thread and every connection
-//! gets its own, so N remote analysts drive the engine exactly like N
-//! in-process analyst threads do. All protocol state (budget ledgers,
-//! in-flight jobs) lives in thread-safe structures the engine already
-//! provides; the server adds no locking of its own beyond the listener.
+//! worker pool — over real sockets, thread-per-connection: the accept
+//! loop runs on one background thread and every connection gets its own,
+//! so N remote analysts drive the engine exactly like N in-process
+//! analyst threads do. All protocol state (budget ledgers, in-flight
+//! jobs) lives in thread-safe structures the engine already provides; the
+//! server adds no locking of its own beyond the listener.
 //!
 //! **Analyst server over a coordinator**
 //! ([`FederationServer::bind_coordinator`]) serves the identical analyst
@@ -19,40 +19,53 @@
 //!
 //! **Live server** ([`FederationServer::bind_live`]) serves the same
 //! analyst protocol from a [`LiveFederation`] behind one reader–writer
-//! lock, plus the wire-v6 live surface: `Ingest` frames append rows to a
-//! provider under the write lock (answered with an `IngestAck` carrying
+//! lock, plus the wire-v6 `Ingest` frame: a batch of rows appended to a
+//! provider under the write lock, answered with an `IngestAck` carrying
 //! the accepted count, the new epoch, and whether the staleness policy
-//! triggered a metadata refresh), and `OnlinePlan` frames stream each
-//! round's [`PlanSnapshot`] back as a server-push `OnlineSnapshot` frame
-//! the moment it resolves, closed by `OnlineDone`. Queries hold the read
-//! lock for their whole lifetime, so every answer conditions on exactly
-//! one epoch. The frozen modes refuse `Ingest` with a typed error, and
-//! pre-v6 clients get a typed bad-request before any charge.
+//! triggered a metadata refresh. Every other request runs on a scoped
+//! engine under the read lock for its whole lifetime, so every answer
+//! conditions on exactly one epoch. The frozen roles refuse `Ingest` with
+//! a typed error.
+//!
+//! The three analyst roles share one request handler, generic over
+//! [`PlanBackend`]: the engine handle, the coordinator, or a live
+//! federation's scoped engine. Refusals, ledger reads and telemetry are
+//! answered before a request reaches it, so they never start an engine
+//! or charge anything. `OnlinePlan` frames stream each round's
+//! [`fedaqp_core::PlanSnapshot`] back as a server-push `OnlineSnapshot` frame the
+//! moment it resolves, closed by `OnlineDone`.
 //!
 //! **Shard server** ([`FederationServer::bind_shard`]) serves only the
 //! v4 fragment frames to an upstream coordinator — one fragment at a
 //! time per connection, fragment after fragment on connections the
 //! coordinator keeps and reuses — with *no* budget directory: fragments
 //! arrive already charged at the coordinator, the single ξ authority (see
-//! `docs/privacy-model.md`). The two analyst modes symmetrically refuse
+//! `docs/privacy-model.md`). The analyst roles symmetrically refuse
 //! fragment frames — serving a fragment to an arbitrary analyst would
 //! bypass the budget ledger and hand out occurrence-differencing oracles.
 //!
-//! Budget enforcement: with [`ServeOptions::with_budget`], every
-//! connection is wrapped in a [`ConcurrentSession`] whose ledger comes
-//! from a [`BudgetDirectory`] keyed by the analyst identity declared in
-//! the `Hello` frame. Reconnecting or opening parallel connections can
+//! Every role shares the handshake (one `Hello`, answered by a `HelloAck`
+//! or a typed refusal) and the frame read path (every frame counted,
+//! malformed input answered typed before the close). Each connection
+//! speaks the version negotiated at the handshake, and a request newer
+//! than that version is refused before anything is charged; the version
+//! each frame kind needs is declared once, in [`crate::wire`].
+//!
+//! Budget enforcement: with [`ServeOptions::with_budget`], every request
+//! is charged through a [`ConcurrentSession`] over the analyst's ledger
+//! from a [`BudgetDirectory`], keyed by the identity declared in the
+//! `Hello` frame. Reconnecting or opening parallel connections can
 //! therefore never reset or multiply an analyst's `(ξ, ψ)` — racing
-//! charges hit one atomic [`fedaqp_dp::SharedAccountant`]. An exhausted
-//! budget surfaces as a typed [`ErrorCode::BudgetExhausted`] error
-//! frame; the connection stays open. A whole [`QueryPlan`] is validated
-//! and charged atomically up front the same way.
+//! charges hit one atomic [`SharedAccountant`]. An exhausted budget
+//! surfaces as a typed [`ErrorCode::BudgetExhausted`] error frame; the
+//! connection stays open. A whole [`QueryPlan`] is validated and charged
+//! atomically up front the same way.
 //!
 //! What never crosses the wire: providers' raw (pre-noise) estimates and
-//! smooth sensitivities. Those fields exist on [`EngineAnswer`] as
-//! simulation-boundary diagnostics; the answer projection deliberately
-//! drops them so a remote analyst sees only DP-released values. Transport
-//! security (TLS, authn) is out of scope — see the README threat model.
+//! smooth sensitivities. The backends release a [`SubOutcome`], which
+//! does not carry them, so a remote analyst sees only DP-released values.
+//! Transport security (TLS, authn) is out of scope — see the README
+//! threat model.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -60,10 +73,9 @@ use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::JoinHandle;
 
 use fedaqp_core::{
-    ConcurrentSession, CoreError, EngineAnswer, EngineHandle, FederationConfig, LiveFederation,
-    PendingAnswer, PendingFragment, PendingPlan, PlanAnswer, PlanExplanation, PlanResult,
-    PlanSnapshot, QueryPlan, SessionPlan, ShardedAnswer, ShardedFederation, ShardedPendingAnswer,
-    ShardedSession,
+    ConcurrentSession, CoreError, EngineHandle, FederationConfig, LiveFederation, PendingFragment,
+    PendingPlan, PlanAnswer, PlanBackend, PlanResult, QueryPlan, SessionPlan, ShardedFederation,
+    SubOutcome,
 };
 use fedaqp_dp::{BudgetDirectory, DpError, PrivacyCost, QueryBudget, SharedAccountant};
 use fedaqp_model::{Row, Schema};
@@ -72,10 +84,10 @@ use fedaqp_obs as obs;
 use crate::wire::{
     calibration_code, read_frame_versioned, write_frame_at, Answer, BudgetStatus, ErrorCode,
     ErrorFrame, ExplainAnswerFrame, ExtremePartialFrame, FragmentPartialFrame,
-    FragmentSummariesFrame, Frame, HelloAck, IngestAckFrame, MetricsAnswerFrame, OnlineDoneFrame,
-    OnlinePlanRequest, OnlineSnapshotFrame, PlanAnswerFrame, QueryRequest, ShardBoundsFrame,
-    WireDimension, WireGroup, WireMetric, WirePartialRow, WirePlanResult, WireProviderBounds,
-    WireSummary, VERSION,
+    FragmentSummariesFrame, Frame, HelloAck, IngestAckFrame, IngestRequest, MetricsAnswerFrame,
+    OnlineDoneFrame, OnlinePlanRequest, OnlineSnapshotFrame, PlanAnswerFrame, QueryRequest,
+    ShardBoundsFrame, WireDimension, WireGroup, WireMetric, WirePartialRow, WirePlanResult,
+    WireProviderBounds, WireSummary, MIN_VERSION, VERSION,
 };
 use crate::{NetError, Result};
 
@@ -105,106 +117,36 @@ impl ServeOptions {
     }
 }
 
-/// The analyst-facing engine behind a server: one in-process worker
-/// pool, or a sharded coordinator scattering to downstream shards. The
-/// analyst protocol is identical either way — that is the point.
-#[derive(Clone)]
-enum AnalystBackend {
-    Engine(EngineHandle),
-    Coordinator(ShardedFederation),
-}
-
-impl AnalystBackend {
-    fn config(&self) -> &FederationConfig {
-        match self {
-            AnalystBackend::Engine(h) => h.config(),
-            AnalystBackend::Coordinator(f) => f.config(),
-        }
-    }
-
-    fn schema(&self) -> &Schema {
-        match self {
-            AnalystBackend::Engine(h) => h.schema(),
-            AnalystBackend::Coordinator(f) => f.schema(),
-        }
-    }
-
-    fn explain_plan(&self, plan: &QueryPlan) -> fedaqp_core::Result<PlanExplanation> {
-        match self {
-            AnalystBackend::Engine(h) => h.explain_plan(plan),
-            AnalystBackend::Coordinator(f) => f.explain_plan(plan),
-        }
-    }
-}
-
-/// One analyst's budget session, matching its backend's flavor.
-enum AnalystSession {
-    Engine(ConcurrentSession),
-    Sharded(ShardedSession),
-}
-
-/// An in-flight scalar query on either backend.
-enum PendingQuery {
-    Engine(PendingAnswer),
-    Sharded(ShardedPendingAnswer),
-}
-
-impl PendingQuery {
-    /// Blocks for the answer and projects it onto the wire at `index`.
-    fn wait(self, index: u32) -> fedaqp_core::Result<Frame> {
-        match self {
-            PendingQuery::Engine(p) => p.wait().map(|a| answer_frame(index, &a)),
-            PendingQuery::Sharded(p) => p.wait().map(|a| sharded_answer_frame(index, &a)),
-        }
-    }
-}
-
-/// An in-flight plan on either backend (both wait to a [`PlanAnswer`]).
-enum PendingPlanEither {
-    Engine(PendingPlan),
-    Sharded(PendingPlan<ShardedFederation>),
-}
-
-impl PendingPlanEither {
-    fn wait(self) -> fedaqp_core::Result<PlanAnswer> {
-        match self {
-            PendingPlanEither::Engine(p) => p.wait(),
-            PendingPlanEither::Sharded(p) => p.wait(),
-        }
-    }
-
-    /// [`Self::wait`] with the per-snapshot hook of an online plan — the
-    /// server's push loop writes one frame per invocation.
-    fn wait_streaming(
-        self,
-        on_snapshot: impl FnMut(&PlanSnapshot),
-    ) -> fedaqp_core::Result<PlanAnswer> {
-        match self {
-            PendingPlanEither::Engine(p) => p.wait_streaming(on_snapshot),
-            PendingPlanEither::Sharded(p) => p.wait_streaming(on_snapshot),
-        }
-    }
-}
-
-/// What a bound server serves: analysts (over either backend) or an
-/// upstream coordinator (fragment frames only).
+/// What a bound server serves.
 #[derive(Clone)]
 enum ServerMode {
-    Analyst {
-        backend: AnalystBackend,
-        directory: Option<Arc<BudgetDirectory>>,
-    },
-    /// Live federation: the analyst protocol plus the v6 streaming-ingest
-    /// path, over a [`LiveFederation`] behind a reader–writer lock.
-    /// Queries hold the read side for their whole lifetime — pinning one
-    /// epoch, data version, and seed — while an accepted `Ingest` batch
-    /// takes the write side between queries, so no query ever observes a
-    /// half-applied batch.
-    Live {
-        live: Arc<RwLock<LiveFederation>>,
-        directory: Option<Arc<BudgetDirectory>>,
-    },
+    /// The analyst protocol over an in-process worker pool.
+    Engine(EngineHandle),
+    /// The analyst protocol over a coordinator scattering to shards.
+    Coordinator(ShardedFederation),
+    /// The analyst protocol plus streaming ingest, over a live federation
+    /// behind a reader–writer lock. Requests hold the read side for their
+    /// whole lifetime — pinning one epoch, data version, and seed — while
+    /// an accepted `Ingest` batch takes the write side between requests,
+    /// so no request ever observes a half-applied batch.
+    Live(Arc<RwLock<LiveFederation>>),
+    /// Fragment frames only, for an upstream coordinator.
     Shard(EngineHandle),
+}
+
+/// What every connection of one server shares.
+#[derive(Clone)]
+struct Service {
+    mode: ServerMode,
+    /// Per-analyst ledgers, when the server caps budgets.
+    directory: Option<Arc<BudgetDirectory>>,
+    /// The handshake reply. Nothing in it changes while the server runs
+    /// (ingest appends rows, never dimensions or providers), so it is
+    /// built once, at bind time.
+    hello: Arc<HelloAck>,
+    /// The oldest `Hello` version the role accepts: v1 for the analyst
+    /// roles; for a shard, the version of the fragment frames it serves.
+    min_hello: u16,
 }
 
 /// A running federation server.
@@ -224,7 +166,14 @@ impl FederationServer {
     /// ephemeral port) and starts accepting analyst connections against
     /// `handle`'s engine.
     pub fn bind(addr: &str, handle: EngineHandle, options: ServeOptions) -> Result<Self> {
-        Self::bind_analyst(addr, AnalystBackend::Engine(handle), options)
+        let hello = hello_ack(handle.config(), handle.schema(), options);
+        Self::bind_mode(
+            addr,
+            ServerMode::Engine(handle),
+            hello,
+            options,
+            MIN_VERSION,
+        )
     }
 
     /// Binds `addr` and serves the analyst protocol from a sharded
@@ -236,31 +185,28 @@ impl FederationServer {
         federation: ShardedFederation,
         options: ServeOptions,
     ) -> Result<Self> {
-        Self::bind_analyst(addr, AnalystBackend::Coordinator(federation), options)
+        let hello = hello_ack(federation.config(), federation.schema(), options);
+        Self::bind_mode(
+            addr,
+            ServerMode::Coordinator(federation),
+            hello,
+            options,
+            MIN_VERSION,
+        )
     }
 
     /// Binds `addr` in live mode: the analyst protocol of [`Self::bind`]
-    /// plus the v6 streaming-ingest path. Each query runs on a scoped
-    /// engine under the lock's read side (one consistent epoch per query);
-    /// an accepted [`Frame::Ingest`] batch takes the write side, appends
-    /// rows with incremental metadata maintenance, and re-salts the noise
-    /// seed (see [`LiveFederation`]). Non-live servers refuse `Ingest`
-    /// frames with a typed error.
+    /// plus the v6 streaming-ingest path. Each request runs on a scoped
+    /// engine under the lock's read side (one consistent epoch per
+    /// request); an accepted [`Frame::Ingest`] batch takes the write side,
+    /// appends rows with incremental metadata maintenance, and re-salts
+    /// the noise seed (see [`LiveFederation`]). Non-live servers refuse
+    /// `Ingest` frames with a typed error.
     pub fn bind_live(addr: &str, live: LiveFederation, options: ServeOptions) -> Result<Self> {
-        let directory = match options.per_analyst {
-            Some((xi, psi)) => Some(Arc::new(
-                BudgetDirectory::new(xi, psi)
-                    .map_err(|e| NetError::BadServeConfig(e.to_string()))?,
-            )),
-            None => None,
-        };
-        Self::bind_mode(
-            addr,
-            ServerMode::Live {
-                live: Arc::new(RwLock::new(live)),
-                directory,
-            },
-        )
+        let federation = live.federation();
+        let hello = hello_ack(federation.config(), federation.schema(), options);
+        let mode = ServerMode::Live(Arc::new(RwLock::new(live)));
+        Self::bind_mode(addr, mode, hello, options, MIN_VERSION)
     }
 
     /// Binds `addr` in shard mode: the server answers only v4 fragment
@@ -270,10 +216,21 @@ impl FederationServer {
     /// budget session: the upstream coordinator is the single ξ authority
     /// and charges before it scatters.
     pub fn bind_shard(addr: &str, handle: EngineHandle) -> Result<Self> {
-        Self::bind_mode(addr, ServerMode::Shard(handle))
+        let options = ServeOptions::unlimited();
+        let hello = hello_ack(handle.config(), handle.schema(), options);
+        // Every frame this role serves is a fragment frame, so an older
+        // client could never speak to it: refuse it at the handshake.
+        let min_hello = Frame::ShardBoundsRequest.min_version();
+        Self::bind_mode(addr, ServerMode::Shard(handle), hello, options, min_hello)
     }
 
-    fn bind_analyst(addr: &str, backend: AnalystBackend, options: ServeOptions) -> Result<Self> {
+    fn bind_mode(
+        addr: &str,
+        mode: ServerMode,
+        hello: HelloAck,
+        options: ServeOptions,
+        min_hello: u16,
+    ) -> Result<Self> {
         let directory = match options.per_analyst {
             Some((xi, psi)) => Some(Arc::new(
                 BudgetDirectory::new(xi, psi)
@@ -281,10 +238,12 @@ impl FederationServer {
             )),
             None => None,
         };
-        Self::bind_mode(addr, ServerMode::Analyst { backend, directory })
-    }
-
-    fn bind_mode(addr: &str, mode: ServerMode) -> Result<Self> {
+        let service = Service {
+            mode,
+            directory,
+            hello: Arc::new(hello),
+            min_hello,
+        };
         let listener = TcpListener::bind(addr).map_err(|e| NetError::Bind {
             addr: addr.to_owned(),
             message: e.to_string(),
@@ -293,7 +252,7 @@ impl FederationServer {
         let stop = Arc::new(AtomicBool::new(false));
         let accept = {
             let stop = Arc::clone(&stop);
-            std::thread::spawn(move || accept_loop(listener, mode, stop))
+            std::thread::spawn(move || accept_loop(listener, service, stop))
         };
         Ok(Self {
             local_addr,
@@ -325,358 +284,409 @@ impl FederationServer {
     }
 }
 
-fn accept_loop(listener: TcpListener, mode: ServerMode, stop: Arc<AtomicBool>) {
+fn accept_loop(listener: TcpListener, service: Service, stop: Arc<AtomicBool>) {
     for stream in listener.incoming() {
         if stop.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = stream else { continue };
-        let mode = mode.clone();
-        std::thread::spawn(move || {
-            // Connection failures are the peer's problem to observe; the
-            // server just moves on to other connections.
-            let _ = match mode {
-                ServerMode::Analyst { backend, directory } => {
-                    serve_connection(stream, backend, directory)
-                }
-                ServerMode::Live { live, directory } => {
-                    serve_live_connection(stream, live, directory)
-                }
-                ServerMode::Shard(handle) => serve_shard_connection(stream, handle),
-            };
-        });
+        let service = service.clone();
+        // Connection failures are the peer's problem to observe; the
+        // server just moves on to other connections.
+        std::thread::spawn(move || serve_connection(stream, &service));
     }
 }
 
-/// Builds the typed reply to a frame whose header declared a version this
-/// server does not speak. The `index` field carries the server's maximum
-/// version (documented on [`ErrorCode::UnsupportedVersion`]) so the client
-/// can surface both sides of the failed negotiation.
-fn unsupported_version_reply(requested: u16) -> Frame {
-    Frame::Error(ErrorFrame {
-        index: VERSION as u32,
-        code: ErrorCode::UnsupportedVersion,
-        message: format!(
-            "server speaks wire-protocol versions {}..={}, frame declared {}",
-            crate::wire::MIN_VERSION,
-            VERSION,
-            requested
-        ),
-    })
-}
-
-/// One analyst connection, served to completion.
-///
-/// The connection speaks the version negotiated at the handshake:
-/// `min(client's Hello header version, VERSION)`. Every reply is encoded
-/// at that version, so a v1 client sees byte-identical v1 frames while a
-/// v2 client may additionally submit plans and a v3 client may ask for
-/// plan explanations.
-fn serve_connection(
-    mut stream: TcpStream,
-    backend: AnalystBackend,
-    directory: Option<Arc<BudgetDirectory>>,
-) -> Result<()> {
+/// One connection, served to completion. This is the one place that
+/// tells the roles apart.
+fn serve_connection(stream: TcpStream, service: &Service) -> Result<()> {
     obs::counter_add(obs::names::SERVER_CONNECTIONS, 1);
     // Frames are small and latency-sensitive; never batch them.
     stream.set_nodelay(true).ok();
-
-    // ---- Handshake: exactly one Hello, answered with HelloAck. ----
-    let (hello, version) = match read_frame_versioned(&mut stream) {
-        Ok((Frame::Hello(h), v)) => (h, v.min(VERSION)),
-        Ok(_) => {
-            let _ = write_frame_at(
-                &mut stream,
-                &error_reply(0, ErrorCode::BadRequest, "expected a Hello frame"),
-                VERSION,
-            );
-            return Err(NetError::Handshake("expected Hello"));
-        }
-        Err(NetError::Disconnected) => return Ok(()),
-        Err(e) => {
-            // An unknown header version gets the typed negotiation error
-            // (at v1, the most interoperable encoding) before the close —
-            // never a bare hangup.
-            let reply = match &e {
-                NetError::UnsupportedVersion { requested, .. } => {
-                    unsupported_version_reply(*requested)
-                }
-                _ => error_reply(0, ErrorCode::BadRequest, &e.to_string()),
-            };
-            let _ = write_frame_at(&mut stream, &reply, crate::wire::MIN_VERSION);
-            return Err(e);
-        }
+    let Some(mut conn) = Connection::handshake(stream, service)? else {
+        return Ok(());
     };
-    let session = match &directory {
-        Some(dir) => {
-            let accountant = dir.accountant(&hello.analyst);
-            let opened = match &backend {
-                AnalystBackend::Engine(h) => ConcurrentSession::open_with_accountant(
-                    h.clone(),
-                    accountant,
-                    SessionPlan::PayAsYouGo,
-                )
-                .map(AnalystSession::Engine),
-                AnalystBackend::Coordinator(f) => ShardedSession::open_with_accountant(
-                    f.clone(),
-                    accountant,
-                    SessionPlan::PayAsYouGo,
-                )
-                .map(AnalystSession::Sharded),
-            };
-            Some(opened.map_err(|e| {
+    match &service.mode {
+        ServerMode::Engine(handle) => {
+            conn.serve_analyst(false, |conn, frame| handle_request(handle, conn, frame))
+        }
+        ServerMode::Coordinator(federation) => {
+            conn.serve_analyst(false, |conn, frame| handle_request(federation, conn, frame))
+        }
+        ServerMode::Live(live) => conn.serve_analyst(true, |conn, frame| match frame {
+            Frame::Ingest(request) => ingest(live, conn, request),
+            // The read guard spans the whole request — a batch, or every
+            // snapshot of an online plan, is computed against one epoch.
+            frame => read_live(live)
+                .federation()
+                .with_engine(|engine| handle_request(engine, conn, frame)),
+        }),
+        ServerMode::Shard(handle) => serve_fragments(handle, &mut conn),
+    }
+}
+
+/// One connection after its handshake.
+struct Connection {
+    stream: TcpStream,
+    /// The version negotiated at the handshake: `min(Hello header
+    /// version, VERSION)`. Every reply is encoded at it, so a v1 client
+    /// sees byte-identical v1 frames.
+    version: u16,
+    /// The identity the `Hello` declared.
+    analyst: String,
+    /// The analyst's durable ledger, when the server caps budgets.
+    ledger: Option<SharedAccountant>,
+    /// Requests answered on this connection (what an uncapped
+    /// `BudgetStatus` reports).
+    answered: u64,
+}
+
+impl Connection {
+    /// Reads exactly one `Hello` and answers it with the `HelloAck`, or
+    /// with a typed refusal before the close. `None` when the peer left
+    /// without a word.
+    fn handshake(mut stream: TcpStream, service: &Service) -> Result<Option<Self>> {
+        let (hello, version) = match read_frame_versioned(&mut stream) {
+            Ok((Frame::Hello(hello), v)) => (hello, v.min(VERSION)),
+            Ok(_) => {
                 let _ = write_frame_at(
                     &mut stream,
-                    &error_reply(0, ErrorCode::Internal, &e.to_string()),
-                    version,
+                    &error_reply(0, ErrorCode::BadRequest, "expected a Hello frame"),
+                    VERSION,
                 );
-                NetError::Handshake("session open failed")
-            })?)
+                return Err(NetError::Handshake("expected Hello"));
+            }
+            Err(NetError::Disconnected) => return Ok(None),
+            Err(e) => {
+                // An unknown header version gets the typed negotiation
+                // error (at v1, the most interoperable encoding) before
+                // the close — never a bare hangup.
+                let _ = write_frame_at(&mut stream, &read_error_reply(&e), MIN_VERSION);
+                return Err(e);
+            }
+        };
+        if version < service.min_hello {
+            let message = format!("shard-mode connections need a v{} Hello", service.min_hello);
+            let _ = write_frame_at(
+                &mut stream,
+                &error_reply(0, ErrorCode::BadRequest, &message),
+                version,
+            );
+            return Err(NetError::Handshake("hello older than the role's frames"));
         }
-        None => None,
-    };
-    write_frame_at(
-        &mut stream,
-        &Frame::HelloAck(hello_ack(backend.config(), backend.schema(), &directory)),
-        version,
-    )?;
+        write_frame_at(
+            &mut stream,
+            &Frame::HelloAck(HelloAck::clone(&service.hello)),
+            version,
+        )?;
+        Ok(Some(Self {
+            stream,
+            version,
+            ledger: service
+                .directory
+                .as_ref()
+                .map(|dir| dir.accountant(&hello.analyst)),
+            analyst: hello.analyst,
+            answered: 0,
+        }))
+    }
 
-    // ---- Request loop. ----
-    let mut answered: u64 = 0;
-    loop {
-        match read_frame_versioned(&mut stream).map(|(frame, _)| frame) {
-            Ok(Frame::Query(spec)) => {
-                count_frame("query");
-                let reply = match submit(&backend, session.as_ref(), &spec).and_then(|p| p.wait(0))
-                {
-                    Ok(frame) => {
-                        answered += 1;
-                        obs::counter_add(obs::names::SERVER_QUERIES, 1);
-                        frame
-                    }
-                    Err(e) => core_error_reply(0, &e),
-                };
-                record_xi_spent(&hello.analyst, session.as_ref());
-                write_frame_at(&mut stream, &reply, version)?;
+    /// Writes one reply at the negotiated version.
+    fn send(&mut self, frame: &Frame) -> Result<()> {
+        write_frame_at(&mut self.stream, frame, self.version)
+    }
+
+    /// Reads and counts the next request. `None` on a clean disconnect;
+    /// a malformed frame leaves the stream unsynchronized, so it is
+    /// answered (typed, including version mismatches) and ends the
+    /// connection.
+    fn next(&mut self) -> Result<Option<Frame>> {
+        match read_frame_versioned(&mut self.stream) {
+            Ok((frame, _)) => {
+                count_frame(request_kind(&frame));
+                Ok(Some(frame))
             }
-            Ok(Frame::Batch(batch)) => {
-                count_frame("batch");
-                // Submit everything before waiting on anything: the worker
-                // pool pipelines the whole batch exactly as it does for an
-                // in-process `run_batch`.
-                let pending: Vec<_> = batch
-                    .specs
-                    .iter()
-                    .map(|spec| submit(&backend, session.as_ref(), spec))
-                    .collect();
-                for (i, p) in pending.into_iter().enumerate() {
-                    let reply = match p.and_then(|p| p.wait(i as u32)) {
-                        Ok(frame) => {
-                            answered += 1;
-                            obs::counter_add(obs::names::SERVER_QUERIES, 1);
-                            frame
-                        }
-                        Err(e) => core_error_reply(i as u32, &e),
-                    };
-                    write_frame_at(&mut stream, &reply, version)?;
-                }
-                record_xi_spent(&hello.analyst, session.as_ref());
+            Err(NetError::Disconnected) => Ok(None),
+            Err(e) => {
+                let _ = self.send(&read_error_reply(&e));
+                Err(e)
             }
-            Ok(Frame::Plan(request)) => {
-                count_frame("plan");
-                // Plan frames decode only from a v2 *frame header*, but the
-                // reply must be encodable at the version negotiated at the
-                // handshake — a v1-negotiated connection smuggling a v2
-                // plan frame gets a typed rejection BEFORE any budget is
-                // charged or any sub-query dispatched (the reply encoding
-                // would otherwise fail and hang up after the charge).
-                if version < 2 {
-                    write_frame_at(
-                        &mut stream,
-                        &error_reply(
-                            0,
-                            ErrorCode::BadRequest,
-                            "plan frames need a v2-negotiated connection (reconnect with a v2 Hello)",
-                        ),
-                        version,
-                    )?;
-                    continue;
-                }
-                // Every sub-query is submitted (and the whole plan charged)
-                // before the wait — the per-group fan-out pipelines on the
-                // worker pool exactly as in-process plans do.
-                let reply = match submit_plan(&backend, session.as_ref(), &request.plan)
-                    .and_then(PendingPlanEither::wait)
-                {
-                    Ok(answer) => {
-                        answered += 1;
-                        obs::counter_add(obs::names::SERVER_QUERIES, 1);
-                        plan_answer_frame(0, &answer)
-                    }
-                    Err(e) => core_error_reply(0, &e),
-                };
-                record_xi_spent(&hello.analyst, session.as_ref());
-                write_frame_at(&mut stream, &reply, version)?;
+        }
+    }
+
+    /// Serves analyst requests until the peer disconnects. Refusals,
+    /// ledger reads and telemetry are answered here; every other request
+    /// goes to `dispatch`.
+    fn serve_analyst(
+        &mut self,
+        ingests: bool,
+        mut dispatch: impl FnMut(&mut Self, Frame) -> Result<()>,
+    ) -> Result<()> {
+        while let Some(frame) = self.next()? {
+            if let Some(refusal) = refusal(&frame, self.version, ingests) {
+                self.send(&refusal)?;
+                continue;
             }
-            Ok(Frame::Explain(request)) => {
-                count_frame("explain");
-                // Same guard as plans: the reply frame exists only from
-                // v3, so a connection negotiated below that gets a typed
-                // rejection instead of an encode failure.
-                if version < 3 {
-                    write_frame_at(
-                        &mut stream,
-                        &error_reply(
-                            0,
-                            ErrorCode::BadRequest,
-                            "explain frames need a v3-negotiated connection (reconnect with a v3 Hello)",
-                        ),
-                        version,
-                    )?;
-                    continue;
-                }
-                // Explaining runs nothing and charges no budget — the
-                // explanation is a pure function of the plan and the
-                // public offline metadata, so it bypasses the session
-                // ledger entirely (and `answered` stays put).
-                let reply = match backend.explain_plan(&request.plan) {
-                    Ok(explanation) => Frame::ExplainAnswer(ExplainAnswerFrame {
-                        index: 0,
-                        explanation,
-                    }),
-                    Err(e) => core_error_reply(0, &e),
-                };
-                write_frame_at(&mut stream, &reply, version)?;
-            }
-            Ok(Frame::BudgetRequest) => {
-                count_frame("budget");
-                write_frame_at(
-                    &mut stream,
-                    &Frame::BudgetStatus(budget_status(
-                        session_charges(session.as_ref()),
-                        answered,
-                    )),
-                    version,
-                )?;
-            }
-            Ok(Frame::Metrics) => {
-                count_frame("metrics");
-                // Same guard as plans/explains: the reply frame exists
-                // only from v5, so a connection negotiated below that
-                // gets a typed rejection instead of an encode failure.
-                if version < 5 {
-                    write_frame_at(
-                        &mut stream,
-                        &error_reply(
-                            0,
-                            ErrorCode::BadRequest,
-                            "metrics frames need a v5-negotiated connection (reconnect with a v5 Hello)",
-                        ),
-                        version,
-                    )?;
-                    continue;
+            match frame {
+                Frame::BudgetRequest => {
+                    let status = budget_status(self.ledger.as_ref(), self.answered);
+                    self.send(&Frame::BudgetStatus(status))?;
                 }
                 // The snapshot is public by construction: every sample in
                 // the registry passed the `ObsValue` provenance boundary
                 // (durations, counts, public metadata, released spend).
-                write_frame_at(&mut stream, &metrics_answer_frame(), version)?;
-            }
-            Ok(Frame::OnlinePlan(request)) => {
-                count_frame("online");
-                // Same guard as plans/explains/metrics: every push frame
-                // of the online conversation exists only from v6, so the
-                // typed rejection lands BEFORE any budget is charged.
-                if version < 6 {
-                    write_frame_at(
-                        &mut stream,
-                        &error_reply(
-                            0,
-                            ErrorCode::BadRequest,
-                            "online-plan frames need a v6-negotiated connection (reconnect with a v6 Hello)",
-                        ),
-                        version,
-                    )?;
-                    continue;
-                }
-                // The whole plan's (ε, δ) is validated and charged
-                // atomically before the first round dispatches
-                // (fail-closed); snapshots then push as rounds resolve.
-                match submit_plan(&backend, session.as_ref(), &online_plan(&request)) {
-                    Ok(pending) => {
-                        if stream_online_answer(&mut stream, version, pending)? {
-                            answered += 1;
-                            obs::counter_add(obs::names::SERVER_QUERIES, 1);
-                        }
-                    }
-                    Err(e) => write_frame_at(&mut stream, &core_error_reply(0, &e), version)?,
-                }
-                record_xi_spent(&hello.analyst, session.as_ref());
-            }
-            Ok(Frame::Ingest(_)) => {
-                count_frame("ingest");
-                // This server's federation is frozen — its metadata,
-                // epochs, and seed never move. Accepting rows here would
-                // silently drop them from every answer; refuse typed.
-                write_frame_at(
-                    &mut stream,
-                    &error_reply(
-                        0,
-                        ErrorCode::BadRequest,
-                        "ingest frames are served only by a live-mode server",
-                    ),
-                    version,
-                )?;
-            }
-            Ok(
-                Frame::Fragment(_)
-                | Frame::FragmentSummariesRequest
-                | Frame::FragmentAllocation(_)
-                | Frame::FragmentPartialRequest
-                | Frame::FragmentAbort
-                | Frame::ExtremeFragment(_)
-                | Frame::ShardBoundsRequest,
-            ) => {
-                count_frame("other");
-                // Fragment frames bypass the analyst budget ledger (they
-                // arrive pre-charged from a coordinator) and let a caller
-                // pick occurrence indices — an occurrence-differencing
-                // oracle. An analyst server therefore refuses them flat;
-                // only a shard-mode server serves fragments.
-                write_frame_at(
-                    &mut stream,
-                    &error_reply(
-                        0,
-                        ErrorCode::BadRequest,
-                        "fragment frames are served only by a shard-mode server",
-                    ),
-                    version,
-                )?;
-            }
-            Ok(_) => {
-                count_frame("other");
-                // Hello again, or a server-to-client frame: protocol
-                // misuse, answered but not fatal.
-                write_frame_at(
-                    &mut stream,
-                    &error_reply(0, ErrorCode::BadRequest, "unexpected frame kind"),
-                    version,
-                )?;
-            }
-            Err(NetError::Disconnected) => return Ok(()),
-            Err(e) => {
-                // A malformed frame leaves the stream unsynchronized;
-                // report (typed, including version mismatches) and close.
-                let reply = match &e {
-                    NetError::UnsupportedVersion { requested, .. } => {
-                        unsupported_version_reply(*requested)
-                    }
-                    _ => error_reply(0, ErrorCode::BadRequest, &e.to_string()),
-                };
-                let _ = write_frame_at(&mut stream, &reply, version);
-                return Err(e);
+                Frame::Metrics => self.send(&metrics_answer_frame())?,
+                frame => dispatch(self, frame)?,
             }
         }
+        Ok(())
     }
+
+    /// The reply to one released request: its answer frame, counted as
+    /// answered, or its typed error.
+    fn released(&mut self, index: u32, reply: fedaqp_core::Result<Frame>) -> Frame {
+        match reply {
+            Ok(frame) => {
+                self.answered += 1;
+                obs::counter_add(obs::names::SERVER_QUERIES, 1);
+                frame
+            }
+            Err(e) => core_error_reply(index, &e),
+        }
+    }
+
+    /// Publishes the analyst's cumulative ξ spend under
+    /// `fedaqp_server_xi_spent.{identity}`. The spend is *released*
+    /// budget accounting — the analyst already observes it through
+    /// `BudgetStatus` frames — so exposing it in telemetry leaks nothing
+    /// new.
+    fn record_xi_spent(&self) {
+        if !obs::enabled() {
+            return;
+        }
+        let Some(ledger) = &self.ledger else { return };
+        obs::gauge_set(
+            &format!("{}.{}", obs::names::SERVER_XI_SPENT, self.analyst),
+            obs::ObsValue::from_released(ledger.spent().eps),
+        );
+    }
+}
+
+/// The static kind label of a request frame: its per-kind telemetry
+/// family (`fedaqp_server_frames_total.{kind}`) and the name its version
+/// refusal uses. Never request content.
+fn request_kind(frame: &Frame) -> &'static str {
+    match frame {
+        Frame::Query(_) => "query",
+        Frame::Batch(_) => "batch",
+        Frame::Plan(_) => "plan",
+        Frame::Explain(_) => "explain",
+        Frame::BudgetRequest => "budget",
+        Frame::Metrics => "metrics",
+        Frame::OnlinePlan(_) => "online-plan",
+        Frame::Ingest(_) => "ingest",
+        Frame::Fragment(_)
+        | Frame::FragmentSummariesRequest
+        | Frame::FragmentAllocation(_)
+        | Frame::FragmentPartialRequest
+        | Frame::FragmentAbort
+        | Frame::ExtremeFragment(_)
+        | Frame::ShardBoundsRequest => "fragment",
+        _ => "other",
+    }
+}
+
+/// The typed refusal an analyst role answers `frame` with before any
+/// engine runs or anything is charged, if it refuses it.
+fn refusal(frame: &Frame, version: u16, ingests: bool) -> Option<Frame> {
+    let message = match request_kind(frame) {
+        // Fragment frames bypass the analyst budget ledger (they arrive
+        // pre-charged from a coordinator) and let a caller pick
+        // occurrence indices — an occurrence-differencing oracle.
+        "fragment" => "fragment frames are served only by a shard-mode server".to_owned(),
+        // A frozen federation's metadata, epochs, and seed never move:
+        // accepting rows would silently drop them from every answer.
+        "ingest" if !ingests => "ingest frames are served only by a live-mode server".to_owned(),
+        // Hello again, or a server-to-client frame: protocol misuse,
+        // answered but not fatal.
+        "other" => "unexpected frame kind".to_owned(),
+        // A request decodes from its own frame header, but its reply
+        // must be encodable at the negotiated version.
+        kind => {
+            let needed = frame.min_version();
+            if version >= needed {
+                return None;
+            }
+            format!(
+                "{kind} frames need a v{needed}-negotiated connection (reconnect with a v{needed} Hello)"
+            )
+        }
+    };
+    Some(error_reply(0, ErrorCode::BadRequest, &message))
+}
+
+/// Answers one analyst request on any backend: the engine, the
+/// coordinator, or a live federation's scoped engine. With a budget
+/// ledger, every charge goes through a [`ConcurrentSession`] over the
+/// analyst's durable accountant — the session is opened per request, the
+/// ledger it charges is not, so connections and reconnects all draw on
+/// one `(ξ, ψ)`.
+fn handle_request<B: PlanBackend>(backend: &B, conn: &mut Connection, frame: Frame) -> Result<()> {
+    let opened = conn.ledger.clone().map(|ledger| {
+        ConcurrentSession::open_with_accountant(backend.clone(), ledger, SessionPlan::PayAsYouGo)
+    });
+    let session = match opened.transpose() {
+        Ok(session) => session,
+        Err(e) => return conn.send(&core_error_reply(0, &e)),
+    };
+    let session = session.as_ref();
+    match frame {
+        Frame::Query(spec) => {
+            let reply = submit_query(backend, session, &spec)
+                .and_then(|(sub, cost)| Ok(answer_frame(0, backend.wait_sub(sub)?, cost)));
+            let reply = conn.released(0, reply);
+            conn.record_xi_spent();
+            conn.send(&reply)
+        }
+        Frame::Batch(batch) => {
+            // Submit everything before waiting on anything: the backend
+            // pipelines the whole batch exactly as it does for an
+            // in-process `run_batch`.
+            let pending: Vec<_> = batch
+                .specs
+                .iter()
+                .map(|spec| submit_query(backend, session, spec))
+                .collect();
+            for (i, p) in pending.into_iter().enumerate() {
+                let index = i as u32;
+                let reply =
+                    p.and_then(|(sub, cost)| Ok(answer_frame(index, backend.wait_sub(sub)?, cost)));
+                let reply = conn.released(index, reply);
+                conn.send(&reply)?;
+            }
+            conn.record_xi_spent();
+            Ok(())
+        }
+        Frame::Plan(request) => {
+            // Every sub-query is submitted (and the whole plan charged)
+            // before the wait — the per-group fan-out pipelines exactly
+            // as in-process plans do.
+            let reply = submit_plan(backend, session, &request.plan)
+                .and_then(PendingPlan::wait)
+                .map(|answer| plan_answer_frame(0, &answer));
+            let reply = conn.released(0, reply);
+            conn.record_xi_spent();
+            conn.send(&reply)
+        }
+        Frame::Explain(request) => {
+            // Explaining runs nothing and charges no budget: the
+            // explanation is a pure function of the plan and the public
+            // offline metadata (on a live server, the current epoch's).
+            let reply = match backend.explain_plan(&request.plan) {
+                Ok(explanation) => Frame::ExplainAnswer(ExplainAnswerFrame {
+                    index: 0,
+                    explanation,
+                }),
+                Err(e) => core_error_reply(0, &e),
+            };
+            conn.send(&reply)
+        }
+        Frame::OnlinePlan(request) => {
+            // The whole plan's (ε, δ) is validated and charged atomically
+            // before the first round dispatches (fail-closed); snapshots
+            // then push as rounds resolve.
+            let answer = match submit_plan(backend, session, &online_plan(&request)) {
+                Ok(pending) => push_snapshots(conn, pending)?,
+                Err(e) => Err(e),
+            };
+            let reply = conn.released(0, answer.map(|answer| online_done_frame(&answer)));
+            conn.record_xi_spent();
+            conn.send(&reply)
+        }
+        // Every other kind was answered before dispatch (`refusal`,
+        // ledger reads, telemetry, live ingest).
+        _ => conn.send(&error_reply(
+            0,
+            ErrorCode::BadRequest,
+            "unexpected frame kind",
+        )),
+    }
+}
+
+/// Validates, charges (through the session, when the analyst has a
+/// ledger) and submits one scalar query; returns it with the `(ε, δ)` it
+/// costs.
+fn submit_query<B: PlanBackend>(
+    backend: &B,
+    session: Option<&ConcurrentSession<B>>,
+    spec: &QueryRequest,
+) -> fedaqp_core::Result<(B::Sub, PrivacyCost)> {
+    match session {
+        Some(session) => Ok((
+            session.submit(&spec.query, spec.sampling_rate)?,
+            session.per_query_cost(),
+        )),
+        None => {
+            let budget = backend.config().query_budget()?;
+            let sub = backend.submit_sub(&spec.query, spec.sampling_rate, &budget)?;
+            Ok((sub, budget.cost()))
+        }
+    }
+}
+
+/// Submits a whole plan: with a session, the plan's entire declared
+/// `(ε, δ)` is validated and charged atomically before any sub-query is
+/// dispatched (validate-before-charge, whole-plan ξ accounting).
+fn submit_plan<B: PlanBackend>(
+    backend: &B,
+    session: Option<&ConcurrentSession<B>>,
+    plan: &QueryPlan,
+) -> fedaqp_core::Result<PendingPlan<B>> {
+    match session {
+        Some(session) => session.submit_plan(plan),
+        None => backend.submit_plan(plan),
+    }
+}
+
+/// Appends one ingest batch to a live federation and acknowledges it.
+/// The write side of the lock waits out in-flight requests, applies the
+/// batch atomically (append + incremental metadata + epoch bump + seed
+/// re-salt), and is released before the ack is written.
+fn ingest(
+    live: &RwLock<LiveFederation>,
+    conn: &mut Connection,
+    request: IngestRequest,
+) -> Result<()> {
+    let rows: Vec<Row> = request
+        .rows
+        .into_iter()
+        .map(|r| Row::cell(r.values, r.measure))
+        .collect();
+    let reply = match write_live(live).ingest(request.provider as usize, rows) {
+        Ok(report) => Frame::IngestAck(IngestAckFrame {
+            accepted: report.accepted,
+            epoch: report.epoch,
+            refreshed: report.refreshed,
+        }),
+        Err(e) => core_error_reply(0, &e),
+    };
+    conn.send(&reply)
+}
+
+/// Read access to the live federation. Lock poisoning is survivable here:
+/// the lock guards no invariant a panicked query could have broken (a
+/// query only *reads*; ingest applies its batch atomically before any
+/// unlock), so a poisoned lock is served rather than cascading the panic
+/// across every connection thread.
+fn read_live(live: &RwLock<LiveFederation>) -> RwLockReadGuard<'_, LiveFederation> {
+    live.read()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Write access to the live federation (see [`read_live`] on poisoning).
+fn write_live(live: &RwLock<LiveFederation>) -> RwLockWriteGuard<'_, LiveFederation> {
+    live.write()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// One coordinator connection in shard mode, served to completion.
@@ -690,56 +700,11 @@ fn serve_connection(
 /// workers), so a vanished coordinator never wedges the shard. No budget
 /// directory exists in this mode by construction: the upstream
 /// coordinator charged the whole plan before scattering.
-fn serve_shard_connection(mut stream: TcpStream, handle: EngineHandle) -> Result<()> {
-    obs::counter_add(obs::names::SERVER_CONNECTIONS, 1);
-    stream.set_nodelay(true).ok();
-    let version = match read_frame_versioned(&mut stream) {
-        Ok((Frame::Hello(_), v)) => v.min(VERSION),
-        Ok(_) => {
-            let _ = write_frame_at(
-                &mut stream,
-                &error_reply(0, ErrorCode::BadRequest, "expected a Hello frame"),
-                VERSION,
-            );
-            return Err(NetError::Handshake("expected Hello"));
-        }
-        Err(NetError::Disconnected) => return Ok(()),
-        Err(e) => {
-            let reply = match &e {
-                NetError::UnsupportedVersion { requested, .. } => {
-                    unsupported_version_reply(*requested)
-                }
-                _ => error_reply(0, ErrorCode::BadRequest, &e.to_string()),
-            };
-            let _ = write_frame_at(&mut stream, &reply, crate::wire::MIN_VERSION);
-            return Err(e);
-        }
-    };
-    // Every frame this mode serves exists only from v4; an older client
-    // could never speak to it, so refuse the handshake with a typed
-    // error instead of failing every later frame.
-    if version < 4 {
-        let _ = write_frame_at(
-            &mut stream,
-            &error_reply(
-                0,
-                ErrorCode::BadRequest,
-                "shard-mode connections need a v4 Hello",
-            ),
-            version,
-        );
-        return Err(NetError::Handshake("shard mode needs v4"));
-    }
-    write_frame_at(
-        &mut stream,
-        &Frame::HelloAck(hello_ack(handle.config(), handle.schema(), &None)),
-        version,
-    )?;
-
+fn serve_fragments(handle: &EngineHandle, conn: &mut Connection) -> Result<()> {
     let mut fragment: Option<PendingFragment> = None;
-    loop {
-        let reply = match read_frame_versioned(&mut stream).map(|(frame, _)| frame) {
-            Ok(Frame::Fragment(req)) => {
+    while let Some(frame) = conn.next()? {
+        let reply = match frame {
+            Frame::Fragment(req) => {
                 if fragment.is_some() {
                     error_reply(
                         0,
@@ -767,7 +732,7 @@ fn serve_shard_connection(mut stream: TcpStream, handle: EngineHandle) -> Result
                     }
                 }
             }
-            Ok(Frame::FragmentSummariesRequest) => match &fragment {
+            Frame::FragmentSummariesRequest => match &fragment {
                 Some(pending) => match pending.summaries() {
                     Ok((summaries, summary_time)) => {
                         Frame::FragmentSummaries(FragmentSummariesFrame {
@@ -785,7 +750,7 @@ fn serve_shard_connection(mut stream: TcpStream, handle: EngineHandle) -> Result
                 },
                 None => no_fragment_reply(),
             },
-            Ok(Frame::FragmentAllocation(frame)) => match &fragment {
+            Frame::FragmentAllocation(frame) => match &fragment {
                 Some(pending) => match pending.provide_allocation(frame.allocations) {
                     Ok(()) => Frame::FragmentAllocated,
                     Err(e) => {
@@ -799,7 +764,7 @@ fn serve_shard_connection(mut stream: TcpStream, handle: EngineHandle) -> Result
                 },
                 None => no_fragment_reply(),
             },
-            Ok(Frame::FragmentPartialRequest) => match &fragment {
+            Frame::FragmentPartialRequest => match &fragment {
                 Some(pending) => match pending.partial() {
                     Ok(partial) => {
                         let frame = Frame::FragmentPartial(FragmentPartialFrame {
@@ -825,12 +790,12 @@ fn serve_shard_connection(mut stream: TcpStream, handle: EngineHandle) -> Result
                 },
                 None => no_fragment_reply(),
             },
-            Ok(Frame::FragmentAbort) => {
+            Frame::FragmentAbort => {
                 // Dropping the pending fragment unparks its workers.
                 fragment = None;
                 Frame::FragmentAborted
             }
-            Ok(Frame::ExtremeFragment(req)) => {
+            Frame::ExtremeFragment(req) => {
                 match handle
                     .submit_extreme_fragment(
                         req.dim as usize,
@@ -847,7 +812,7 @@ fn serve_shard_connection(mut stream: TcpStream, handle: EngineHandle) -> Result
                     Err(e) => core_error_reply(0, &e),
                 }
             }
-            Ok(Frame::ShardBoundsRequest) => Frame::ShardBounds(ShardBoundsFrame {
+            Frame::ShardBoundsRequest => Frame::ShardBounds(ShardBoundsFrame {
                 providers: handle
                     .meta_snapshot()
                     .providers()
@@ -858,25 +823,15 @@ fn serve_shard_connection(mut stream: TcpStream, handle: EngineHandle) -> Result
                     })
                     .collect(),
             }),
-            Ok(_) => error_reply(
+            _ => error_reply(
                 0,
                 ErrorCode::BadRequest,
                 "analyst frames are not served in shard mode (connect to the coordinator)",
             ),
-            Err(NetError::Disconnected) => return Ok(()),
-            Err(e) => {
-                let reply = match &e {
-                    NetError::UnsupportedVersion { requested, .. } => {
-                        unsupported_version_reply(*requested)
-                    }
-                    _ => error_reply(0, ErrorCode::BadRequest, &e.to_string()),
-                };
-                let _ = write_frame_at(&mut stream, &reply, version);
-                return Err(e);
-            }
         };
-        write_frame_at(&mut stream, &reply, version)?;
+        conn.send(&reply)?;
     }
+    Ok(())
 }
 
 /// The typed reply to a lifecycle frame with no fragment in flight.
@@ -901,19 +856,18 @@ fn online_plan(request: &OnlinePlanRequest) -> QueryPlan {
     }
 }
 
-/// Drives an in-flight online plan to completion, pushing one
-/// [`Frame::OnlineSnapshot`] per resolved round and closing the
-/// conversation with a [`Frame::OnlineDone`] (success, returns `true`) or
-/// a typed error frame (an engine failure mid-stream, returns `false` —
-/// the budget stays spent either way, fail-closed). Transport failures
-/// propagate as [`NetError`] and tear the connection down.
-fn stream_online_answer(
-    stream: &mut TcpStream,
-    version: u16,
-    pending: PendingPlanEither,
-) -> Result<bool> {
+/// Waits out an in-flight online plan, pushing one
+/// [`Frame::OnlineSnapshot`] per round as it resolves. The caller closes
+/// the conversation with the plan's [`Frame::OnlineDone`], or with a
+/// typed error when the backend failed mid-stream (the budget stays spent
+/// either way, fail-closed). Transport failures propagate as
+/// [`NetError`] and tear the connection down.
+fn push_snapshots<B: PlanBackend>(
+    conn: &mut Connection,
+    pending: PendingPlan<B>,
+) -> Result<fedaqp_core::Result<PlanAnswer>> {
     let mut write_err: Option<NetError> = None;
-    let outcome = pending.wait_streaming(|snapshot| {
+    let answer = pending.wait_streaming(|snapshot| {
         if write_err.is_some() {
             return;
         }
@@ -926,426 +880,49 @@ fn stream_online_answer(
             ci_halfwidth: snapshot.ci_halfwidth,
             clusters_scanned: snapshot.clusters_scanned,
         });
-        if let Err(e) = write_frame_at(stream, &frame, version) {
+        if let Err(e) = conn.send(&frame) {
             write_err = Some(e);
         }
     });
-    if let Some(e) = write_err {
-        return Err(e);
-    }
-    match outcome {
-        Ok(answer) => {
-            write_frame_at(
-                stream,
-                &Frame::OnlineDone(OnlineDoneFrame {
-                    index: 0,
-                    eps: answer.cost.eps,
-                    delta: answer.cost.delta,
-                    value: answer.value().unwrap_or(f64::NAN),
-                    summary_us: answer.timings.summary.as_micros() as u64,
-                    allocation_us: answer.timings.allocation.as_micros() as u64,
-                    execution_us: answer.timings.execution.as_micros() as u64,
-                    release_us: answer.timings.release.as_micros() as u64,
-                    network_us: answer.timings.network.as_micros() as u64,
-                }),
-                version,
-            )?;
-            Ok(true)
-        }
-        Err(e) => {
-            write_frame_at(stream, &core_error_reply(0, &e), version)?;
-            Ok(false)
-        }
+    match write_err {
+        Some(e) => Err(e),
+        None => Ok(answer),
     }
 }
 
-/// Read access to the live federation. Lock poisoning is survivable here:
-/// the lock guards no invariant a panicked query could have broken (a
-/// query only *reads*; ingest applies its batch atomically before any
-/// unlock), so a poisoned lock is served rather than cascading the panic
-/// across every connection thread.
-fn read_live(live: &RwLock<LiveFederation>) -> RwLockReadGuard<'_, LiveFederation> {
-    live.read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+/// The frame that closes an online plan's conversation.
+fn online_done_frame(answer: &PlanAnswer) -> Frame {
+    Frame::OnlineDone(OnlineDoneFrame {
+        index: 0,
+        eps: answer.cost.eps,
+        delta: answer.cost.delta,
+        value: answer.value().unwrap_or(f64::NAN),
+        summary_us: answer.timings.summary.as_micros() as u64,
+        allocation_us: answer.timings.allocation.as_micros() as u64,
+        execution_us: answer.timings.execution.as_micros() as u64,
+        release_us: answer.timings.release.as_micros() as u64,
+        network_us: answer.timings.network.as_micros() as u64,
+    })
 }
 
-/// Write access to the live federation (see [`read_live`] on poisoning).
-fn write_live(live: &RwLock<LiveFederation>) -> RwLockWriteGuard<'_, LiveFederation> {
-    live.write()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Submits one scalar query on a live connection's scoped engine. With a
-/// budget ledger, a transient [`ConcurrentSession`] over the analyst's
-/// durable [`SharedAccountant`] enforces exactly the charge-then-submit
-/// discipline of the frozen path — the session object is per-request, the
-/// ledger it charges is not.
-fn live_submit(
-    engine: &EngineHandle,
-    accountant: Option<&SharedAccountant>,
-    spec: &QueryRequest,
-) -> fedaqp_core::Result<PendingAnswer> {
-    match accountant {
-        Some(acc) => ConcurrentSession::open_with_accountant(
-            engine.clone(),
-            acc.clone(),
-            SessionPlan::PayAsYouGo,
-        )?
-        .submit(&spec.query, spec.sampling_rate),
-        None => engine.submit(&spec.query, spec.sampling_rate),
+/// Builds the typed reply to a frame that could not be read: the
+/// negotiation error for a header version this server does not speak
+/// (its `index` carries the server's maximum version, as documented on
+/// [`ErrorCode::UnsupportedVersion`]), a bad request otherwise.
+fn read_error_reply(error: &NetError) -> Frame {
+    match error {
+        NetError::UnsupportedVersion { requested, .. } => Frame::Error(ErrorFrame {
+            index: VERSION as u32,
+            code: ErrorCode::UnsupportedVersion,
+            message: format!(
+                "server speaks wire-protocol versions {MIN_VERSION}..={VERSION}, frame declared {requested}"
+            ),
+        }),
+        _ => error_reply(0, ErrorCode::BadRequest, &error.to_string()),
     }
 }
 
-/// Submits one plan on a live connection's scoped engine (see
-/// [`live_submit`] on the transient-session pattern): validate, charge the
-/// whole declared cost atomically, then dispatch.
-fn live_submit_plan(
-    engine: &EngineHandle,
-    accountant: Option<&SharedAccountant>,
-    plan: &QueryPlan,
-) -> fedaqp_core::Result<PendingPlan> {
-    match accountant {
-        Some(acc) => ConcurrentSession::open_with_accountant(
-            engine.clone(),
-            acc.clone(),
-            SessionPlan::PayAsYouGo,
-        )?
-        .submit_plan(plan),
-        None => engine.submit_plan(plan),
-    }
-}
-
-/// [`record_xi_spent`] for live connections, whose ledger is the analyst's
-/// [`SharedAccountant`] directly (sessions there are per-request).
-fn record_xi_ledger(analyst: &str, accountant: Option<&SharedAccountant>) {
-    if !obs::enabled() {
-        return;
-    }
-    let Some(acc) = accountant else { return };
-    obs::gauge_set(
-        &format!("{}.{analyst}", obs::names::SERVER_XI_SPENT),
-        obs::ObsValue::from_released(acc.spent().eps),
-    );
-}
-
-/// One analyst connection against a live federation, served to completion.
-///
-/// The analyst protocol is [`serve_connection`]'s, with two differences:
-/// every query runs on a scoped engine under the federation lock's read
-/// side (pinning one epoch — a concurrently accepted ingest batch is
-/// observed by the *next* query, never mid-flight), and the v6
-/// [`Frame::Ingest`] path is served instead of refused. On a federation
-/// that never ingests, answers are byte-identical to [`serve_connection`]
-/// over the same providers and seed — the scoped engine runs the same
-/// worker-pool code.
-fn serve_live_connection(
-    mut stream: TcpStream,
-    live: Arc<RwLock<LiveFederation>>,
-    directory: Option<Arc<BudgetDirectory>>,
-) -> Result<()> {
-    obs::counter_add(obs::names::SERVER_CONNECTIONS, 1);
-    stream.set_nodelay(true).ok();
-
-    // ---- Handshake: exactly one Hello, answered with HelloAck. ----
-    let (hello, version) = match read_frame_versioned(&mut stream) {
-        Ok((Frame::Hello(h), v)) => (h, v.min(VERSION)),
-        Ok(_) => {
-            let _ = write_frame_at(
-                &mut stream,
-                &error_reply(0, ErrorCode::BadRequest, "expected a Hello frame"),
-                VERSION,
-            );
-            return Err(NetError::Handshake("expected Hello"));
-        }
-        Err(NetError::Disconnected) => return Ok(()),
-        Err(e) => {
-            let reply = match &e {
-                NetError::UnsupportedVersion { requested, .. } => {
-                    unsupported_version_reply(*requested)
-                }
-                _ => error_reply(0, ErrorCode::BadRequest, &e.to_string()),
-            };
-            let _ = write_frame_at(&mut stream, &reply, crate::wire::MIN_VERSION);
-            return Err(e);
-        }
-    };
-    // One durable ledger per analyst identity; the per-request sessions
-    // opened over it all charge this same atomic accountant.
-    let accountant = directory.as_ref().map(|dir| dir.accountant(&hello.analyst));
-    {
-        let fed = read_live(&live);
-        write_frame_at(
-            &mut stream,
-            &Frame::HelloAck(hello_ack(
-                fed.federation().config(),
-                fed.federation().schema(),
-                &directory,
-            )),
-            version,
-        )?;
-    }
-
-    // ---- Request loop. ----
-    let mut answered: u64 = 0;
-    loop {
-        match read_frame_versioned(&mut stream).map(|(frame, _)| frame) {
-            Ok(Frame::Query(spec)) => {
-                count_frame("query");
-                let fed = read_live(&live);
-                let reply = match fed.federation().with_engine(|e| {
-                    live_submit(e, accountant.as_ref(), &spec).and_then(|p| p.wait())
-                }) {
-                    Ok(answer) => {
-                        answered += 1;
-                        obs::counter_add(obs::names::SERVER_QUERIES, 1);
-                        answer_frame(0, &answer)
-                    }
-                    Err(e) => core_error_reply(0, &e),
-                };
-                drop(fed);
-                record_xi_ledger(&hello.analyst, accountant.as_ref());
-                write_frame_at(&mut stream, &reply, version)?;
-            }
-            Ok(Frame::Batch(batch)) => {
-                count_frame("batch");
-                // The whole batch runs under one read guard — one epoch,
-                // one seed — and submits everything before waiting on
-                // anything, pipelining across the pool as the frozen
-                // server's batches do.
-                let fed = read_live(&live);
-                let replies: Vec<Frame> = fed.federation().with_engine(|engine| {
-                    let pending: Vec<_> = batch
-                        .specs
-                        .iter()
-                        .map(|spec| live_submit(engine, accountant.as_ref(), spec))
-                        .collect();
-                    pending
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, p)| match p.and_then(|p| p.wait()) {
-                            Ok(answer) => {
-                                answered += 1;
-                                obs::counter_add(obs::names::SERVER_QUERIES, 1);
-                                answer_frame(i as u32, &answer)
-                            }
-                            Err(e) => core_error_reply(i as u32, &e),
-                        })
-                        .collect()
-                });
-                drop(fed);
-                record_xi_ledger(&hello.analyst, accountant.as_ref());
-                for reply in &replies {
-                    write_frame_at(&mut stream, reply, version)?;
-                }
-            }
-            Ok(Frame::Plan(request)) => {
-                count_frame("plan");
-                if version < 2 {
-                    write_frame_at(
-                        &mut stream,
-                        &error_reply(
-                            0,
-                            ErrorCode::BadRequest,
-                            "plan frames need a v2-negotiated connection (reconnect with a v2 Hello)",
-                        ),
-                        version,
-                    )?;
-                    continue;
-                }
-                let fed = read_live(&live);
-                let reply = match fed.federation().with_engine(|e| {
-                    live_submit_plan(e, accountant.as_ref(), &request.plan)
-                        .and_then(PendingPlan::wait)
-                }) {
-                    Ok(answer) => {
-                        answered += 1;
-                        obs::counter_add(obs::names::SERVER_QUERIES, 1);
-                        plan_answer_frame(0, &answer)
-                    }
-                    Err(e) => core_error_reply(0, &e),
-                };
-                drop(fed);
-                record_xi_ledger(&hello.analyst, accountant.as_ref());
-                write_frame_at(&mut stream, &reply, version)?;
-            }
-            Ok(Frame::Explain(request)) => {
-                count_frame("explain");
-                if version < 3 {
-                    write_frame_at(
-                        &mut stream,
-                        &error_reply(
-                            0,
-                            ErrorCode::BadRequest,
-                            "explain frames need a v3-negotiated connection (reconnect with a v3 Hello)",
-                        ),
-                        version,
-                    )?;
-                    continue;
-                }
-                // Free as on the frozen path — but computed against the
-                // *current* epoch's public metadata.
-                let fed = read_live(&live);
-                let reply = match fed
-                    .federation()
-                    .with_engine(|e| e.explain_plan(&request.plan))
-                {
-                    Ok(explanation) => Frame::ExplainAnswer(ExplainAnswerFrame {
-                        index: 0,
-                        explanation,
-                    }),
-                    Err(e) => core_error_reply(0, &e),
-                };
-                drop(fed);
-                write_frame_at(&mut stream, &reply, version)?;
-            }
-            Ok(Frame::BudgetRequest) => {
-                count_frame("budget");
-                let charged = accountant
-                    .as_ref()
-                    .map(|a| (a.total(), a.spent(), a.queries_answered()));
-                write_frame_at(
-                    &mut stream,
-                    &Frame::BudgetStatus(budget_status(charged, answered)),
-                    version,
-                )?;
-            }
-            Ok(Frame::Metrics) => {
-                count_frame("metrics");
-                if version < 5 {
-                    write_frame_at(
-                        &mut stream,
-                        &error_reply(
-                            0,
-                            ErrorCode::BadRequest,
-                            "metrics frames need a v5-negotiated connection (reconnect with a v5 Hello)",
-                        ),
-                        version,
-                    )?;
-                    continue;
-                }
-                write_frame_at(&mut stream, &metrics_answer_frame(), version)?;
-            }
-            Ok(Frame::OnlinePlan(request)) => {
-                count_frame("online");
-                if version < 6 {
-                    write_frame_at(
-                        &mut stream,
-                        &error_reply(
-                            0,
-                            ErrorCode::BadRequest,
-                            "online-plan frames need a v6-negotiated connection (reconnect with a v6 Hello)",
-                        ),
-                        version,
-                    )?;
-                    continue;
-                }
-                // The read guard spans the whole push loop: every snapshot
-                // of one online plan is computed against one epoch. An
-                // ingest racing this plan lands after the OnlineDone.
-                let fed = read_live(&live);
-                let pushed = fed.federation().with_engine(|engine| {
-                    match live_submit_plan(engine, accountant.as_ref(), &online_plan(&request)) {
-                        Ok(pending) => stream_online_answer(
-                            &mut stream,
-                            version,
-                            PendingPlanEither::Engine(pending),
-                        ),
-                        Err(e) => {
-                            write_frame_at(&mut stream, &core_error_reply(0, &e), version)?;
-                            Ok(false)
-                        }
-                    }
-                });
-                drop(fed);
-                record_xi_ledger(&hello.analyst, accountant.as_ref());
-                if pushed? {
-                    answered += 1;
-                    obs::counter_add(obs::names::SERVER_QUERIES, 1);
-                }
-            }
-            Ok(Frame::Ingest(request)) => {
-                count_frame("ingest");
-                if version < 6 {
-                    write_frame_at(
-                        &mut stream,
-                        &error_reply(
-                            0,
-                            ErrorCode::BadRequest,
-                            "ingest frames need a v6-negotiated connection (reconnect with a v6 Hello)",
-                        ),
-                        version,
-                    )?;
-                    continue;
-                }
-                let rows: Vec<Row> = request
-                    .rows
-                    .iter()
-                    .map(|r| Row::cell(r.values.clone(), r.measure))
-                    .collect();
-                // Write side of the lock: waits out in-flight queries,
-                // applies the batch atomically (append + incremental
-                // metadata + epoch bump + seed re-salt), and releases
-                // before the ack is written.
-                let reply = match write_live(&live).ingest(request.provider as usize, rows) {
-                    Ok(report) => Frame::IngestAck(IngestAckFrame {
-                        accepted: report.accepted,
-                        epoch: report.epoch,
-                        refreshed: report.refreshed,
-                    }),
-                    Err(e) => core_error_reply(0, &e),
-                };
-                write_frame_at(&mut stream, &reply, version)?;
-            }
-            Ok(
-                Frame::Fragment(_)
-                | Frame::FragmentSummariesRequest
-                | Frame::FragmentAllocation(_)
-                | Frame::FragmentPartialRequest
-                | Frame::FragmentAbort
-                | Frame::ExtremeFragment(_)
-                | Frame::ShardBoundsRequest,
-            ) => {
-                count_frame("other");
-                // Same refusal (and rationale) as the frozen analyst
-                // server: fragments bypass the budget ledger.
-                write_frame_at(
-                    &mut stream,
-                    &error_reply(
-                        0,
-                        ErrorCode::BadRequest,
-                        "fragment frames are served only by a shard-mode server",
-                    ),
-                    version,
-                )?;
-            }
-            Ok(_) => {
-                count_frame("other");
-                write_frame_at(
-                    &mut stream,
-                    &error_reply(0, ErrorCode::BadRequest, "unexpected frame kind"),
-                    version,
-                )?;
-            }
-            Err(NetError::Disconnected) => return Ok(()),
-            Err(e) => {
-                let reply = match &e {
-                    NetError::UnsupportedVersion { requested, .. } => {
-                        unsupported_version_reply(*requested)
-                    }
-                    _ => error_reply(0, ErrorCode::BadRequest, &e.to_string()),
-                };
-                let _ = write_frame_at(&mut stream, &reply, version);
-                return Err(e);
-            }
-        }
-    }
-}
-
-fn hello_ack(
-    config: &FederationConfig,
-    schema: &Schema,
-    directory: &Option<Arc<BudgetDirectory>>,
-) -> HelloAck {
+fn hello_ack(config: &FederationConfig, schema: &Schema, options: ServeOptions) -> HelloAck {
     HelloAck {
         dimensions: schema
             .dimensions()
@@ -1360,100 +937,28 @@ fn hello_ack(
         epsilon: config.epsilon,
         delta: config.delta,
         calibration: calibration_code(config.estimator_calibration),
-        session_budget: directory.as_ref().map(|dir| {
-            let per = dir.per_analyst();
-            (per.eps, per.delta)
-        }),
+        session_budget: options.per_analyst,
         max_version: VERSION,
     }
 }
 
-fn submit(
-    backend: &AnalystBackend,
-    session: Option<&AnalystSession>,
-    spec: &QueryRequest,
-) -> fedaqp_core::Result<PendingQuery> {
-    match (backend, session) {
-        (_, Some(AnalystSession::Engine(s))) => s
-            .submit(&spec.query, spec.sampling_rate)
-            .map(PendingQuery::Engine),
-        (_, Some(AnalystSession::Sharded(s))) => s
-            .submit(&spec.query, spec.sampling_rate)
-            .map(PendingQuery::Sharded),
-        (AnalystBackend::Engine(h), None) => h
-            .submit(&spec.query, spec.sampling_rate)
-            .map(PendingQuery::Engine),
-        (AnalystBackend::Coordinator(f), None) => {
-            let budget = f.default_budget()?;
-            f.submit_with_budget(&spec.query, spec.sampling_rate, &budget)
-                .map(PendingQuery::Sharded)
-        }
-    }
-}
-
-/// Submits a whole plan: with a session, the plan's entire declared
-/// `(ε, δ)` is validated and charged atomically before any sub-query is
-/// dispatched (validate-before-charge, whole-plan ξ accounting).
-fn submit_plan(
-    backend: &AnalystBackend,
-    session: Option<&AnalystSession>,
-    plan: &QueryPlan,
-) -> fedaqp_core::Result<PendingPlanEither> {
-    match (backend, session) {
-        (_, Some(AnalystSession::Engine(s))) => s.submit_plan(plan).map(PendingPlanEither::Engine),
-        (_, Some(AnalystSession::Sharded(s))) => {
-            s.submit_plan(plan).map(PendingPlanEither::Sharded)
-        }
-        (AnalystBackend::Engine(h), None) => h.submit_plan(plan).map(PendingPlanEither::Engine),
-        (AnalystBackend::Coordinator(f), None) => {
-            f.submit_plan(plan).map(PendingPlanEither::Sharded)
-        }
-    }
-}
-
-/// Projects an [`EngineAnswer`] onto the wire, dropping the
-/// simulation-boundary diagnostics (`raw_estimate`, `smooth_ls`) that
-/// must never reach an analyst.
-fn answer_frame(index: u32, answer: &EngineAnswer) -> Frame {
+/// Projects a released scalar answer onto the wire.
+fn answer_frame(index: u32, outcome: SubOutcome, cost: PrivacyCost) -> Frame {
     Frame::Answer(Answer {
         index,
-        value: answer.value,
-        eps: answer.cost.eps,
-        delta: answer.cost.delta,
-        ci_halfwidth: answer.ci_halfwidth,
-        clusters_scanned: answer.clusters_scanned as u64,
-        covering_total: answer.covering_total as u64,
-        approximated_providers: answer.approximated_providers as u32,
-        allocations: answer.allocations.clone(),
-        summary_us: answer.timings.summary.as_micros() as u64,
-        allocation_us: answer.timings.allocation.as_micros() as u64,
-        execution_us: answer.timings.execution.as_micros() as u64,
-        release_us: answer.timings.release.as_micros() as u64,
-        network_us: answer.timings.network.as_micros() as u64,
-    })
-}
-
-/// Projects a [`ShardedAnswer`] onto the wire. The coordinator's answer
-/// already contains only analyst-visible fields (the simulation-boundary
-/// diagnostics never left the shards), so this is a straight copy — the
-/// frame is field-for-field the one [`answer_frame`] builds, keeping the
-/// analyst protocol identical across deployments.
-fn sharded_answer_frame(index: u32, answer: &ShardedAnswer) -> Frame {
-    Frame::Answer(Answer {
-        index,
-        value: answer.value,
-        eps: answer.cost.eps,
-        delta: answer.cost.delta,
-        ci_halfwidth: answer.ci_halfwidth,
-        clusters_scanned: answer.clusters_scanned as u64,
-        covering_total: answer.covering_total as u64,
-        approximated_providers: answer.approximated_providers as u32,
-        allocations: answer.allocations.clone(),
-        summary_us: answer.timings.summary.as_micros() as u64,
-        allocation_us: answer.timings.allocation.as_micros() as u64,
-        execution_us: answer.timings.execution.as_micros() as u64,
-        release_us: answer.timings.release.as_micros() as u64,
-        network_us: answer.timings.network.as_micros() as u64,
+        value: outcome.value,
+        eps: cost.eps,
+        delta: cost.delta,
+        ci_halfwidth: outcome.ci_halfwidth,
+        clusters_scanned: outcome.clusters_scanned,
+        covering_total: outcome.covering_total,
+        approximated_providers: outcome.approximated_providers as u32,
+        allocations: outcome.allocations,
+        summary_us: outcome.timings.summary.as_micros() as u64,
+        allocation_us: outcome.timings.allocation.as_micros() as u64,
+        execution_us: outcome.timings.execution.as_micros() as u64,
+        release_us: outcome.timings.release.as_micros() as u64,
+        network_us: outcome.timings.network.as_micros() as u64,
     })
 }
 
@@ -1516,25 +1021,6 @@ fn count_frame(kind: &'static str) {
     }
 }
 
-/// Publishes the analyst's cumulative ξ spend under
-/// `fedaqp_server_xi_spent.{identity}`. The spend is *released* budget
-/// accounting — the analyst already observes it through `BudgetStatus`
-/// frames — so exposing it in telemetry leaks nothing new.
-fn record_xi_spent(analyst: &str, session: Option<&AnalystSession>) {
-    if !obs::enabled() {
-        return;
-    }
-    let spent = match session {
-        Some(AnalystSession::Engine(s)) => s.spent(),
-        Some(AnalystSession::Sharded(s)) => s.spent(),
-        None => return,
-    };
-    obs::gauge_set(
-        &format!("{}.{analyst}", obs::names::SERVER_XI_SPENT),
-        obs::ObsValue::from_released(spent.eps),
-    );
-}
-
 /// The server's telemetry snapshot as a wire frame. Flat `(name, value)`
 /// samples straight from the global registry — every one of which passed
 /// the [`fedaqp_obs::ObsValue`] provenance boundary.
@@ -1582,30 +1068,21 @@ fn core_error_reply(index: u32, error: &CoreError) -> Frame {
     error_reply(index, code, &error.to_string())
 }
 
-/// The `(total, spent, queries answered)` of a session's ledger, when the
-/// connection has one.
-fn session_charges(session: Option<&AnalystSession>) -> Option<(PrivacyCost, PrivacyCost, u64)> {
-    match session {
-        Some(AnalystSession::Engine(s)) => {
-            Some((s.accountant().total(), s.spent(), s.queries_answered()))
+/// The ledger report for a connection: the analyst's ledger, or an
+/// uncapped report counting this connection's answered requests.
+fn budget_status(ledger: Option<&SharedAccountant>, answered: u64) -> BudgetStatus {
+    match ledger {
+        Some(ledger) => {
+            let (total, spent) = (ledger.total(), ledger.spent());
+            BudgetStatus {
+                limited: true,
+                total_eps: total.eps,
+                total_delta: total.delta,
+                spent_eps: spent.eps,
+                spent_delta: spent.delta,
+                queries_answered: ledger.queries_answered(),
+            }
         }
-        Some(AnalystSession::Sharded(s)) => {
-            Some((s.accountant().total(), s.spent(), s.queries_answered()))
-        }
-        None => None,
-    }
-}
-
-fn budget_status(charged: Option<(PrivacyCost, PrivacyCost, u64)>, answered: u64) -> BudgetStatus {
-    match charged {
-        Some((total, spent, queries_answered)) => BudgetStatus {
-            limited: true,
-            total_eps: total.eps,
-            total_delta: total.delta,
-            spent_eps: spent.eps,
-            spent_delta: spent.delta,
-            queries_answered,
-        },
         None => BudgetStatus {
             limited: false,
             total_eps: f64::INFINITY,

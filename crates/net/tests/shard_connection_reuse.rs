@@ -1,8 +1,9 @@
 //! Coordinator→shard connection reuse, pinned by the servers' own
-//! connection counter.
+//! connection counter, and the shard servers' frame counting.
 //!
 //! This file is a test binary of its own, so the process-global telemetry
-//! registry counts only the connections its single test opens.
+//! registry counts only the connections and frames its single test opens
+//! and sends.
 
 use fedaqp_model::{DerivedStatistic, Extreme, QueryPlan};
 use fedaqp_net::{RemoteFederation, ServeOptions};
@@ -55,6 +56,17 @@ fn connections_opened() -> u64 {
         .get()
 }
 
+/// `(all frames, fragment frames)` received by every server in the
+/// process so far.
+fn frames_received() -> (u64, u64) {
+    let registry = fedaqp_obs::global();
+    let total = registry.counter(fedaqp_obs::names::SERVER_FRAMES).get();
+    let fragments = registry
+        .counter(&format!("{}.fragment", fedaqp_obs::names::SERVER_FRAMES))
+        .get();
+    (total, fragments)
+}
+
 /// Once one round of every plan kind has warmed a 2-shard grid, the
 /// coordinator's shard pools hold as many connections as a plan ever
 /// needs at once, so dozens more sequential plans open no connection at
@@ -69,6 +81,7 @@ fn a_warm_grid_serves_sequential_plans_without_new_connections() {
     }
 
     let warm = connections_opened();
+    let (frames_before, fragments_before) = frames_received();
     for i in 8..60 {
         client.run_plan(&plan(i)).unwrap();
     }
@@ -76,6 +89,17 @@ fn a_warm_grid_serves_sequential_plans_without_new_connections() {
         connections_opened(),
         warm,
         "52 sequential plans on a warm grid opened connections"
+    );
+    // Shard servers count the frames they serve: every plan sends at
+    // least one fragment frame to each of the two shards, and the
+    // coordinator counts the 52 plan frames on top.
+    let (frames_after, fragments_after) = frames_received();
+    let fragments = fragments_after - fragments_before;
+    assert!(fragments >= 2 * 52, "{fragments} fragment frames counted");
+    assert!(
+        frames_after - frames_before >= fragments + 52,
+        "{} frames counted in all",
+        frames_after - frames_before
     );
 
     drop(client);

@@ -1,17 +1,20 @@
 //! Analyst session walk-through: the §5.4 interactive model with a total
-//! budget, derived aggregations (AVG — §7), private MIN/MAX (extension),
-//! and persisting a provider's store between sessions.
+//! budget over the concurrent engine, derived aggregations (AVG — §7) as
+//! query plans, private MIN/MAX (extension), and persisting a provider's
+//! store between sessions. The exact answers printed next to the private
+//! ones come from `Federation::exact`, the experiment oracle — an analyst
+//! never sees them.
 //!
 //! ```sh
 //! cargo run --release --example analyst_session
 //! ```
 
 use fedaqp::core::{
-    private_extreme, AnalystSession, DerivedStatistic, Extreme, Federation, FederationConfig,
-    SessionPlan,
+    private_extreme, ConcurrentSession, DerivedStatistic, Extreme, Federation, FederationConfig,
+    QueryPlan, SessionPlan,
 };
 use fedaqp::data::{partition_rows, AmazonConfig, AmazonSynth, PartitionMode};
-use fedaqp::model::{Aggregate, QueryBuilder};
+use fedaqp::model::{Aggregate, QueryBuilder, RangeQuery};
 use fedaqp::storage::{decode_store, encode_store};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -45,51 +48,69 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- An interactive session: ξ = 6 at ε = 1 per query ---
-    let mut session = AnalystSession::open(federation, 6.0, 1e-2, SessionPlan::PayAsYouGo)?;
-    println!(
-        "\nsession opened: per-query ε = {}, budget ξ = {}",
-        session.per_query_cost().eps,
-        session.remaining().eps
-    );
-
-    let five_star = QueryBuilder::new(session.federation().schema(), Aggregate::Sum)
+    let five_star = QueryBuilder::new(federation.schema(), Aggregate::Sum)
         .range("rating", 5, 5)?
         .build()?;
-    let ans = session.query(&five_star, 0.1)?;
-    println!(
-        "5★ review volume           : {:.0} (exact {}, err {:.2}%) — ξ left {:.1}",
-        ans.value,
-        ans.exact,
-        100.0 * ans.relative_error,
-        session.remaining().eps
-    );
-
-    let recent = QueryBuilder::new(session.federation().schema(), Aggregate::Count)
+    let recent = QueryBuilder::new(federation.schema(), Aggregate::Count)
         .range("week", 150, 199)?
         .build()?;
-    let avg = session.query_derived(&recent, DerivedStatistic::Average, 0.1)?;
-    println!(
-        "AVG reviews per cell (recent weeks): {:.2} (exact {:.2}) — charged 2ε, ξ left {:.1}",
-        avg.value,
-        avg.exact,
-        session.remaining().eps
-    );
+    let recent_sum = RangeQuery::new(Aggregate::Sum, recent.ranges().to_vec())?;
+    let exact_five_star = federation.exact(&five_star) as f64;
+    let exact_avg =
+        federation.exact(&recent_sum) as f64 / (federation.exact(&recent) as f64).max(1.0);
 
-    while session.can_query() {
-        session.query(&five_star, 0.1)?;
+    federation.with_engine(|engine| -> Result<(), Box<dyn std::error::Error>> {
+        let session = ConcurrentSession::open(engine.clone(), 6.0, 1e-2, SessionPlan::PayAsYouGo)?;
+        let per_query = session.per_query_cost();
         println!(
-            "extra query answered        — ξ left {:.1}",
+            "\nsession opened: per-query ε = {}, budget ξ = {}",
+            per_query.eps,
             session.remaining().eps
         );
-    }
-    match session.query(&five_star, 0.1) {
-        Err(e) => println!("next query rejected         : {e}"),
-        Ok(_) => unreachable!("budget must be exhausted"),
-    }
-    let (_fed, spent) = session.close();
-    println!(
-        "session closed, spent (ε = {}, δ = {:.0e})",
-        spent.eps, spent.delta
-    );
-    Ok(())
+
+        let ans = session.query(&five_star, 0.1)?;
+        println!(
+            "5★ review volume           : {:.0} (exact {}, err {:.2}%) — ξ left {:.1}",
+            ans.value,
+            exact_five_star,
+            100.0 * (ans.value - exact_five_star).abs() / exact_five_star.max(1.0),
+            session.remaining().eps
+        );
+
+        // A derived statistic is a plan: its declared (ε, δ) covers the
+        // COUNT and SUM sub-queries and is charged whole, up front.
+        let avg = session.run_plan(&QueryPlan::Derived {
+            query: recent.clone(),
+            statistic: DerivedStatistic::Average,
+            sampling_rate: 0.1,
+            epsilon: 2.0 * per_query.eps,
+            delta: 2.0 * per_query.delta,
+        })?;
+        println!(
+            "AVG reviews per cell (recent weeks): {:.2} (exact {:.2}) — charged 2ε, ξ left {:.1}",
+            avg.value().unwrap_or(f64::NAN),
+            exact_avg,
+            session.remaining().eps
+        );
+
+        while session.can_query() {
+            session.query(&five_star, 0.1)?;
+            println!(
+                "extra query answered        — ξ left {:.1}",
+                session.remaining().eps
+            );
+        }
+        match session.query(&five_star, 0.1) {
+            Err(e) => println!("next query rejected         : {e}"),
+            Ok(_) => unreachable!("budget must be exhausted"),
+        }
+        let spent = session.spent();
+        println!(
+            "session spent (ε = {}, δ = {:.0e}) over {} charges",
+            spent.eps,
+            spent.delta,
+            session.queries_answered()
+        );
+        Ok(())
+    })
 }

@@ -4,8 +4,8 @@
 //! §5 protocol.
 
 use fedaqp::core::{
-    combine_snapshots, private_extreme, run_derived, run_group_by, run_online, AnalystSession,
-    DerivedStatistic, Extreme, Federation, FederationConfig, SessionPlan,
+    combine_snapshots, private_extreme, run_derived, run_group_by, run_online, ConcurrentSession,
+    DerivedStatistic, Extreme, Federation, FederationConfig, QueryPlan, SessionPlan,
 };
 use fedaqp::data::{partition_rows, AdultConfig, AdultSynth, PartitionMode};
 use fedaqp::model::{Aggregate, QueryBuilder, RangeQuery};
@@ -40,17 +40,25 @@ fn age_query(fed: &Federation) -> RangeQuery {
 #[test]
 fn session_lifecycle_with_mixed_query_types() {
     let fed = federation(1, 1.0);
-    let mut session =
-        AnalystSession::open(fed, 10.0, 1e-2, SessionPlan::PayAsYouGo).expect("session");
-    let q = age_query(session.federation());
-    let plain = session.query(&q, 0.2).expect("plain query");
-    assert!(plain.value.is_finite());
-    let avg = session
-        .query_derived(&q, DerivedStatistic::Average, 0.2)
-        .expect("derived query");
-    assert!(avg.value.is_finite());
-    // 1 (plain) + 2 (average) ε spent.
-    assert!((session.remaining().eps - 7.0).abs() < 1e-9);
+    let q = age_query(&fed);
+    fed.with_engine(|engine| {
+        let session = ConcurrentSession::open(engine.clone(), 10.0, 1e-2, SessionPlan::PayAsYouGo)
+            .expect("session");
+        let plain = session.query(&q, 0.2).expect("plain query");
+        assert!(plain.value.is_finite());
+        let avg = session
+            .run_plan(&QueryPlan::Derived {
+                query: q.clone(),
+                statistic: DerivedStatistic::Average,
+                sampling_rate: 0.2,
+                epsilon: 2.0,
+                delta: 2.0 * fed.config().delta,
+            })
+            .expect("derived query");
+        assert!(avg.value().expect("scalar release").is_finite());
+        // 1 (plain) + 2 (average) ε spent.
+        assert!((session.remaining().eps - 7.0).abs() < 1e-9);
+    });
 }
 
 #[test]
@@ -130,19 +138,21 @@ fn provider_stores_persist_and_answer_identically() {
 #[test]
 fn advanced_session_supports_many_cheap_queries() {
     let fed = federation(7, 1.0);
-    let mut session = AnalystSession::open(
-        fed,
-        20.0,
-        1e-3,
-        SessionPlan::AdvancedComposition {
-            planned_queries: 200,
-        },
-    )
-    .expect("session");
-    let q = age_query(session.federation());
-    for _ in 0..25 {
-        session.query(&q, 0.2).expect("query");
-    }
-    assert_eq!(session.queries_answered(), 25);
-    assert!(session.can_query());
+    let q = age_query(&fed);
+    fed.with_engine(|engine| {
+        let session = ConcurrentSession::open(
+            engine.clone(),
+            20.0,
+            1e-3,
+            SessionPlan::AdvancedComposition {
+                planned_queries: 200,
+            },
+        )
+        .expect("session");
+        for _ in 0..25 {
+            session.query(&q, 0.2).expect("query");
+        }
+        assert_eq!(session.queries_answered(), 25);
+        assert!(session.can_query());
+    });
 }
