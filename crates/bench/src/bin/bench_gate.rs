@@ -25,7 +25,7 @@
 //! * the obs instrumentation costs more than
 //!   `--max-telemetry-overhead-pct` (default 2%) of the uninstrumented
 //!   throughput on the compute-bound skewed layout (`telemetry-on` vs
-//!   `telemetry-off`, best of interleaved trials — telemetry must stay
+//!   `telemetry-off`, median of interleaved pair ratios — telemetry must stay
 //!   cheap enough to leave on in production).
 //!
 //! The comparison deliberately leans on the *speed-up ratios* (machine

@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use fedaqp_core::{LiveFederation, RefreshPolicy};
 use fedaqp_data::{AdultConfig, AdultSynth};
-use fedaqp_model::Aggregate;
+use fedaqp_model::{Aggregate, QueryPlan};
 use fedaqp_net::{LoopbackServer, RemoteFederation, ServeOptions};
 use fedaqp_obs::Histogram;
 
@@ -40,7 +40,7 @@ use crate::setup::{build_testbed, filtered_workload, DatasetKind, ExperimentCont
 /// Ingest batches fed to the live server (round-robin over providers).
 const BATCHES: usize = 8;
 /// Progressive rounds per online query.
-const ONLINE_ROUNDS: u32 = 4;
+const ONLINE_ROUNDS: usize = 4;
 /// Queries rerun as online plans for the first-snapshot timing.
 const ONLINE_QUERIES: usize = 4;
 
@@ -84,7 +84,8 @@ pub fn run(ctx: &ExperimentContext) -> Vec<Table> {
     let t0 = Instant::now();
     for q in &queries {
         let t = Instant::now();
-        conn.query(q, sampling_rate).expect("pre-ingest query");
+        conn.run_plan(&conn.scalar_plan(q, sampling_rate))
+            .expect("pre-ingest query");
         pre.record_duration(t.elapsed());
     }
     let pre_qps = pre.count() as f64 / t0.elapsed().as_secs_f64().max(1e-9);
@@ -110,7 +111,8 @@ pub fn run(ctx: &ExperimentContext) -> Vec<Table> {
     let t0 = Instant::now();
     for q in &queries {
         let t = Instant::now();
-        conn.query(q, sampling_rate).expect("post-ingest query");
+        conn.run_plan(&conn.scalar_plan(q, sampling_rate))
+            .expect("post-ingest query");
         post.record_duration(t.elapsed());
     }
     let live_qps = post.count() as f64 / t0.elapsed().as_secs_f64().max(1e-9);
@@ -123,15 +125,25 @@ pub fn run(ctx: &ExperimentContext) -> Vec<Table> {
     for q in queries.iter().take(ONLINE_QUERIES) {
         let t = Instant::now();
         let mut first: Option<f64> = None;
+        let plan = QueryPlan::Online {
+            query: q.clone(),
+            sampling_rate,
+            epsilon,
+            delta,
+            rounds: ONLINE_ROUNDS,
+        };
         let ans = conn
-            .run_online_plan(q, sampling_rate, epsilon, delta, ONLINE_ROUNDS, |_s| {
-                if first.is_none() {
-                    first = Some(t.elapsed().as_secs_f64() * 1e3);
-                }
+            .submit_plan(&plan)
+            .and_then(|pending| {
+                pending.wait_streaming(|_s| {
+                    if first.is_none() {
+                        first = Some(t.elapsed().as_secs_f64() * 1e3);
+                    }
+                })
             })
             .expect("online plan");
         let total = t.elapsed().as_secs_f64() * 1e3;
-        rounds_ok &= ans.snapshots().map(<[_]>::len) == Some(ONLINE_ROUNDS as usize);
+        rounds_ok &= ans.snapshots().map(<[_]>::len) == Some(ONLINE_ROUNDS);
         let first = first.expect("at least one pushed snapshot");
         fractions.push(first / total.max(1e-9));
         firsts.push(first);

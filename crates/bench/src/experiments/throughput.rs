@@ -26,7 +26,7 @@ use fedaqp_model::{Aggregate, QueryPlan, Range, RangeQuery, Row};
 use fedaqp_obs::{self as obs, Histogram};
 use fedaqp_smc::CostModel;
 
-use crate::report::{fmt_f, Table};
+use crate::report::{fmt_f, percentile, Table};
 use crate::setup::{
     build_testbed, filtered_workload, generate_dataset, DatasetKind, ExperimentContext,
 };
@@ -210,6 +210,16 @@ const PRUNE_ROUNDS: usize = 50;
 /// single pass (or a mean) lets one preempted trial skew the ratio.
 const PRUNE_TRIALS: usize = 3;
 
+/// Interleaved telemetry on/off pairs; the overhead is the median of the
+/// per-pair on/off ratios. Pairing puts both modes of a ratio in the same
+/// stretch of machine load, the alternating order cancels a first-run
+/// (or second-run) advantage, and the median discards the pairs a
+/// preemption hit.
+const TELEMETRY_PAIRS: usize = 15;
+/// Rounds of the band workload per telemetry run: twice the pruning
+/// comparison's, so one preemption moves a run's time less.
+const TELEMETRY_ROUNDS: usize = 2 * PRUNE_ROUNDS;
+
 /// Result of the pruned-vs-exhaustive comparison on the skewed layout.
 #[derive(Debug, Clone, Copy)]
 struct PrunedTrial {
@@ -315,11 +325,16 @@ fn skewed_federation(
     Federation::build(cfg, schema.clone(), partitions.to_vec()).expect("skewed federation build")
 }
 
-/// Replays the band workload `PRUNE_ROUNDS` times through the engine with
+/// Replays the band workload `rounds` times through the engine with
 /// `PRUNE_ANALYSTS` concurrent analyst threads; returns queries/sec.
-fn skewed_qps(federation: &mut Federation, queries: &[RangeQuery], sampling_rate: f64) -> f64 {
+fn skewed_qps(
+    federation: &mut Federation,
+    queries: &[RangeQuery],
+    sampling_rate: f64,
+    rounds: usize,
+) -> f64 {
     let budget = federation.config().query_budget().expect("default budget");
-    let jobs = queries.len() * PRUNE_ROUNDS;
+    let jobs = queries.len() * rounds;
     let t0 = Instant::now();
     federation.with_engine(|engine| {
         std::thread::scope(|scope| {
@@ -327,7 +342,7 @@ fn skewed_qps(federation: &mut Federation, queries: &[RangeQuery], sampling_rate
                 let engine = engine.clone();
                 let budget = &budget;
                 scope.spawn(move || {
-                    for _ in 0..PRUNE_ROUNDS {
+                    for _ in 0..rounds {
                         for q in queries.iter().skip(analyst).step_by(PRUNE_ANALYSTS) {
                             engine
                                 .submit_with_budget(q, sampling_rate, budget)
@@ -392,8 +407,18 @@ fn run_pruned(ctx: &ExperimentContext, sampling_rate: f64) -> PrunedTrial {
     let mut exhaustive_qps = 0.0f64;
     let mut pruned_qps = 0.0f64;
     for _ in 0..PRUNE_TRIALS {
-        exhaustive_qps = exhaustive_qps.max(skewed_qps(&mut exhaustive, &queries, sampling_rate));
-        pruned_qps = pruned_qps.max(skewed_qps(&mut pruned, &queries, sampling_rate));
+        exhaustive_qps = exhaustive_qps.max(skewed_qps(
+            &mut exhaustive,
+            &queries,
+            sampling_rate,
+            PRUNE_ROUNDS,
+        ));
+        pruned_qps = pruned_qps.max(skewed_qps(
+            &mut pruned,
+            &queries,
+            sampling_rate,
+            PRUNE_ROUNDS,
+        ));
     }
     PrunedTrial {
         jobs: queries.len() * PRUNE_ROUNDS,
@@ -408,9 +433,12 @@ fn run_pruned(ctx: &ExperimentContext, sampling_rate: f64) -> PrunedTrial {
 /// cost of the uninstrumented engine).
 #[derive(Debug, Clone, Copy)]
 struct TelemetryTrial {
+    /// Median telemetry-on throughput over the pairs.
     on_qps: f64,
+    /// Median telemetry-off throughput over the pairs.
     off_qps: f64,
-    /// `100 * (1 - on/off)`; negative when "on" happened to win (noise).
+    /// `100 * (1 - median(on/off))` over the pairs; negative when "on"
+    /// happened to win (noise).
     overhead_pct: f64,
 }
 
@@ -433,24 +461,31 @@ fn run_telemetry(ctx: &ExperimentContext, sampling_rate: f64) -> TelemetryTrial 
         OptimizerConfig::enabled(),
     );
 
-    // Interleave modes per trial and keep each mode's best, exactly like
-    // the pruning comparison (scheduler interference is one-sided).
-    let mut on_qps = 0.0f64;
-    let mut off_qps = 0.0f64;
-    for _ in 0..PRUNE_TRIALS {
-        obs::set_enabled(true);
-        on_qps = on_qps.max(skewed_qps(&mut federation, &queries, sampling_rate));
-        obs::set_enabled(false);
-        off_qps = off_qps.max(skewed_qps(&mut federation, &queries, sampling_rate));
+    let mut run = |enabled: bool| {
+        obs::set_enabled(enabled);
+        skewed_qps(&mut federation, &queries, sampling_rate, TELEMETRY_ROUNDS)
+    };
+    let (mut on, mut off, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for pair in 0..TELEMETRY_PAIRS {
+        let (on_qps, off_qps) = if pair % 2 == 0 {
+            let on_qps = run(true);
+            (on_qps, run(false))
+        } else {
+            let off_qps = run(false);
+            (run(true), off_qps)
+        };
+        on.push(on_qps);
+        off.push(off_qps);
+        ratios.push(on_qps / off_qps.max(1e-9));
     }
     // Leave the process in the default (instrumented) state for whatever
     // runs after this experiment.
     obs::set_enabled(true);
 
     TelemetryTrial {
-        on_qps,
-        off_qps,
-        overhead_pct: 100.0 * (1.0 - on_qps / off_qps.max(1e-9)),
+        on_qps: percentile(&on, 50.0),
+        off_qps: percentile(&off, 50.0),
+        overhead_pct: 100.0 * (1.0 - percentile(&ratios, 50.0)),
     }
 }
 
@@ -668,10 +703,7 @@ pub fn run(ctx: &ExperimentContext) -> Vec<Table> {
         fmt_f(telemetry_trial.on_qps, 1),
         String::new(),
         String::new(),
-        fmt_f(
-            telemetry_trial.on_qps / telemetry_trial.off_qps.max(1e-9),
-            2,
-        ),
+        fmt_f(1.0 - telemetry_trial.overhead_pct / 100.0, 2),
     ]);
 
     // Machine-readable summary for CI (`bench_gate` reads the headline_*

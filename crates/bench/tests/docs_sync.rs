@@ -31,15 +31,12 @@ fn committed_baselines() -> Vec<String> {
 }
 
 /// The README's frame diagram and version prose, and the architecture
-/// layer map, enumerate wire versions; bumping `wire::VERSION` without
-/// updating them fails here.
+/// layer map, name the wire's one protocol version; bumping
+/// `wire::VERSION` without updating them — or narrating a version list
+/// again — fails here.
 #[test]
 fn wire_version_lists_track_the_codec() {
-    let list = (wire::MIN_VERSION..=wire::VERSION)
-        .map(|v| v.to_string())
-        .collect::<Vec<_>>()
-        .join("|");
-    let frame_line = format!("version u16 ({list})");
+    let frame_line = format!("version u16 ({})", wire::VERSION);
 
     let readme = read("README.md");
     assert!(
@@ -52,18 +49,27 @@ fn wire_version_lists_track_the_codec() {
             "README.md wire-format diagram is stale — expected `{frame_line}` in: {line}"
         );
     }
+    let prose = format!("one version, v{}", wire::VERSION);
     assert!(
-        readme.contains(&format!("v{} adds", wire::VERSION)),
-        "README.md never narrates what wire v{} added",
-        wire::VERSION
+        readme.contains(&prose),
+        "README.md never says the protocol has {prose}"
     );
 
     let arch = read("docs/architecture.md");
-    let span = format!("(v{}–v{})", wire::MIN_VERSION, wire::VERSION);
+    let layer = format!("wire protocol (v{})", wire::VERSION);
     assert!(
-        arch.contains(&span),
-        "docs/architecture.md layer map should say `wire protocol {span}`"
+        arch.contains(&layer),
+        "docs/architecture.md layer map should say `{layer}`"
     );
+    for (name, text) in [("README.md", &readme), ("docs/architecture.md", &arch)] {
+        for old in 1..wire::VERSION {
+            let span = format!("(v{old}–v");
+            assert!(
+                !text.contains(&span),
+                "{name} still narrates a version span `{span}…`"
+            );
+        }
+    }
 }
 
 /// Every experiment the registry marks `(CI gate)` must actually be run

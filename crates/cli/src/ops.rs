@@ -6,7 +6,7 @@ use std::time::Instant;
 
 use fedaqp_core::{
     ConcurrentSession, EstimatorCalibration, Federation, FederationConfig, FederationEngine,
-    LiveFederation, PlanAnswer, PlanResult, RefreshPolicy, ReleaseMode, SessionPlan,
+    LiveFederation, PlanAnswer, PlanResult, PlanSnapshot, RefreshPolicy, ReleaseMode, SessionPlan,
 };
 use fedaqp_data::{
     partition_rows, AdultConfig, AdultSynth, AmazonConfig, AmazonSynth, PartitionMode,
@@ -357,7 +357,20 @@ fn build_plan(
     Ok((plan, sql_explain))
 }
 
-/// Renders a plan answer: scalar value, group table, or extreme.
+/// One pushed online-plan snapshot, as printed the moment it arrives.
+fn snapshot_line(s: &PlanSnapshot) -> String {
+    format!(
+        "round {:>2}/{} : {:.3} ({:.0}% sample, {} clusters)",
+        s.round,
+        s.rounds,
+        s.value,
+        100.0 * s.sample_fraction,
+        s.clusters_scanned
+    )
+}
+
+/// Renders a plan answer: scalar value, group table, extreme, or an
+/// online plan's final round.
 fn render_plan_answer(schema: &Schema, plan: &QueryPlan, answer: &PlanAnswer) -> String {
     let mut out = String::new();
     match &answer.result {
@@ -390,20 +403,13 @@ fn render_plan_answer(schema: &Schema, plan: &QueryPlan, answer: &PlanAnswer) ->
         PlanResult::Extreme { value } => {
             out.push_str(&format!("private     : {value}\n"));
         }
+        // Each snapshot was printed as it arrived (see `snapshot_line`).
         PlanResult::Snapshots { snapshots } => {
-            for s in snapshots {
-                out.push_str(&format!(
-                    "round {:>2}/{} : {:.3} ({:.0}% sample, {} clusters)\n",
-                    s.round,
-                    s.rounds,
-                    s.value,
-                    100.0 * s.sample_fraction,
-                    s.clusters_scanned
-                ));
-            }
-            if let Some(last) = snapshots.last() {
-                out.push_str(&format!("private     : {:.3} (final round)\n", last.value));
-            }
+            out.push_str(&format!(
+                "online      : {} rounds pushed, final {:.3}\n",
+                snapshots.len(),
+                answer.value().unwrap_or(f64::NAN)
+            ));
         }
     }
     out.push_str(&format!(
@@ -472,121 +478,11 @@ fn load_federation(
     Federation::build(config, schema, partitions).map_err(|e| e.to_string())
 }
 
-/// `fedaqp query --remote` with a plan-shaped request (group-by, derived
-/// statistic, or extreme): the plan travels as one v2 frame; its `(ε, δ)`
-/// spend is the server's advertised default (the server charges the whole
-/// plan atomically against the analyst's session ledger).
-fn query_remote_plan(
-    args: &QueryArgs,
-    addr: &str,
-    remote: &mut RemoteFederation,
-    plan: &QueryPlan,
-) -> Result<String, String> {
-    let started = Instant::now();
-    let answer = remote.run_plan(plan).map_err(|e| e.to_string())?;
-    let round_trip = started.elapsed();
-    let mut out = String::new();
-    if !args.sql.is_empty() {
-        out.push_str(&format!("query       : {}\n", args.sql));
-    }
-    out.push_str(&format!(
-        "remote      : {addr} ({} providers, wire v{})\n",
-        remote.n_providers(),
-        remote.protocol_version()
-    ));
-    out.push_str(&render_plan_answer(remote.schema(), plan, &answer));
-    out.push_str(&format!(
-        "latency     : {:.2} ms round trip ({:.2} ms server protocol)\n",
-        round_trip.as_secs_f64() * 1e3,
-        answer.timings.total().as_secs_f64() * 1e3,
-    ));
-    if remote.session_budget().is_some() {
-        let status = remote.budget_status().map_err(|e| e.to_string())?;
-        out.push_str(&format!(
-            "budget      : spent (ε = {:.3}, δ = {:.1e})\n",
-            status.spent_eps, status.spent_delta
-        ));
-    }
-    Ok(out)
-}
-
-/// `fedaqp query --remote --online K`: the query travels as one v6
-/// `OnlinePlan` frame; the server pushes one refined snapshot per round
-/// (printed as it arrives) and the whole plan's `(ε, δ)` is charged
-/// atomically up front.
-fn query_remote_online(
-    args: &QueryArgs,
-    addr: &str,
-    remote: &mut RemoteFederation,
-    plan: &QueryPlan,
-) -> Result<String, String> {
-    let QueryPlan::Online {
-        query,
-        sampling_rate,
-        epsilon,
-        delta,
-        rounds,
-    } = plan
-    else {
-        return Err("query_remote_online wants an online plan".into());
-    };
-    let started = Instant::now();
-    // Each snapshot prints the moment its frame arrives: the analyst
-    // watches the estimate refine while later rounds still run.
-    let answer = remote
-        .run_online_plan(
-            query,
-            *sampling_rate,
-            *epsilon,
-            *delta,
-            *rounds as u32,
-            |s| {
-                println!(
-                    "round {:>2}/{} : {:.3} ({:.0}% sample, {} clusters)",
-                    s.round,
-                    s.rounds,
-                    s.value,
-                    100.0 * s.sample_fraction,
-                    s.clusters_scanned
-                );
-            },
-        )
-        .map_err(|e| e.to_string())?;
-    let round_trip = started.elapsed();
-    let mut out = String::new();
-    if !args.sql.is_empty() {
-        out.push_str(&format!("query       : {}\n", args.sql));
-    }
-    out.push_str(&format!(
-        "remote      : {addr} ({} providers, wire v{})\n",
-        remote.n_providers(),
-        remote.protocol_version()
-    ));
-    out.push_str(&format!(
-        "online      : {rounds} rounds pushed, final {:.3}\n",
-        answer.value().unwrap_or(f64::NAN)
-    ));
-    out.push_str(&format!(
-        "privacy     : (ε = {}, δ = {:e}) for the whole plan\n",
-        answer.cost.eps, answer.cost.delta
-    ));
-    out.push_str(&format!(
-        "latency     : {:.2} ms round trip ({:.2} ms server protocol)\n",
-        round_trip.as_secs_f64() * 1e3,
-        answer.timings.total().as_secs_f64() * 1e3,
-    ));
-    if remote.session_budget().is_some() {
-        let status = remote.budget_status().map_err(|e| e.to_string())?;
-        out.push_str(&format!(
-            "budget      : spent (ε = {:.3}, δ = {:.1e})\n",
-            status.spent_eps, status.spent_delta
-        ));
-    }
-    Ok(out)
-}
-
 /// `fedaqp query --remote`: parse the request against the served schema
-/// and answer it over the wire.
+/// and answer it over the wire as one plan frame. The plan's `(ε, δ)`
+/// spend is the server's advertised default, charged whole and atomically
+/// against the analyst's session ledger; an online plan's snapshots are
+/// printed the moment each is pushed, while later rounds still run.
 fn query_remote(args: &QueryArgs, addr: &str) -> Result<String, String> {
     if args.baseline {
         return Err("--baseline needs local data; it is unavailable with --remote".into());
@@ -594,63 +490,29 @@ fn query_remote(args: &QueryArgs, addr: &str) -> Result<String, String> {
     let mut remote = RemoteFederation::connect_as(addr, "cli").map_err(|e| e.to_string())?;
     let (epsilon, delta) = (remote.epsilon(), remote.delta());
     let (plan, sql_explain) = build_plan(remote.schema(), args, epsilon, delta)?;
+    let mut out = String::new();
+    if !args.sql.is_empty() {
+        out.push_str(&format!("query       : {}\n", args.sql));
+    }
+    out.push_str(&format!(
+        "remote      : {addr} ({} providers, wire v{})\n",
+        remote.n_providers(),
+        fedaqp_net::wire::VERSION
+    ));
     if args.explain || sql_explain {
         // The server's optimizer explains the plan; nothing runs and no
-        // budget is spent on either side. Needs a v3 server.
+        // budget is spent on either side.
         let explanation = remote.explain_plan(&plan).map_err(|e| e.to_string())?;
-        let mut out = String::new();
-        if !args.sql.is_empty() {
-            out.push_str(&format!("query       : {}\n", args.sql));
-        }
-        out.push_str(&format!(
-            "remote      : {addr} ({} providers, wire v{})\n",
-            remote.n_providers(),
-            remote.protocol_version()
-        ));
         out.push_str(&explanation.render());
         return Ok(out);
     }
-    let parsed = match plan {
-        QueryPlan::Scalar { ref query, .. } => query.clone(),
-        ref plan @ QueryPlan::Online { .. } => {
-            return query_remote_online(args, addr, &mut remote, plan)
-        }
-        ref plan => return query_remote_plan(args, addr, &mut remote, plan),
-    };
     let started = Instant::now();
     let answer = remote
-        .query(&parsed, args.rate)
+        .submit_plan(&plan)
+        .and_then(|pending| pending.wait_streaming(|s| println!("{}", snapshot_line(s))))
         .map_err(|e| e.to_string())?;
     let round_trip = started.elapsed();
-    let mut out = String::new();
-    out.push_str(&format!(
-        "query       : {}\n",
-        parsed.display_sql(remote.schema())
-    ));
-    out.push_str(&format!(
-        "remote      : {addr} ({} providers)\n",
-        remote.n_providers()
-    ));
-    out.push_str(&format!("private     : {:.1}\n", answer.value));
-    out.push_str(&format!(
-        "privacy     : (ε = {}, δ = {:e})\n",
-        answer.cost.eps, answer.cost.delta
-    ));
-    out.push_str(&format!(
-        "estimator   : {} calibration, sampling CI ±{}\n",
-        match remote.calibration() {
-            EstimatorCalibration::EmCalibrated => "EM",
-            EstimatorCalibration::PpsEq3 => "PPS (Eq. 3)",
-        },
-        match answer.ci_halfwidth {
-            Some(hw) => format!("{hw:.1} (95%)"),
-            None => "unknown (single-draw sample)".into(),
-        }
-    ));
-    out.push_str(&format!(
-        "work        : scanned {} of {} covering clusters\n",
-        answer.clusters_scanned, answer.covering_total
-    ));
+    out.push_str(&render_plan_answer(remote.schema(), &plan, &answer));
     out.push_str(&format!(
         "latency     : {:.2} ms round trip ({:.2} ms server protocol)\n",
         round_trip.as_secs_f64() * 1e3,
@@ -884,11 +746,11 @@ fn batch_remote(args: &BatchArgs, addr: &str) -> Result<String, String> {
                 for (i, (sql, q)) in queries.iter().enumerate().skip(analyst).step_by(analysts) {
                     let t = Instant::now();
                     let (line, ok) = match connection.as_mut() {
-                        Ok(conn) => match conn.query(q, args.rate) {
+                        Ok(conn) => match conn.run_plan(&conn.scalar_plan(q, args.rate)) {
                             Ok(a) => (
                                 format!(
                                     "[{i}] {sql} -> {:.1} ({:.2} ms)",
-                                    a.value,
+                                    a.value().unwrap_or(f64::NAN),
                                     t.elapsed().as_secs_f64() * 1e3
                                 ),
                                 true,
@@ -1266,7 +1128,7 @@ pub struct IngestArgs {
 }
 
 /// `fedaqp ingest`: synthesize a batch of rows and append it to one
-/// provider of a live federation over the wire v6 `Ingest` frame,
+/// provider of a live federation over the wire `Ingest` frame,
 /// chunked at the frame's row cap ([`fedaqp_net::wire::MAX_INGEST_ROWS`])
 /// so any `--rows` count round-trips. Each chunk is atomic server-side;
 /// the final ack reports the new data epoch, and the summary notes
@@ -1888,7 +1750,7 @@ mod tests {
         assert!(out.contains("private"), "{out}");
         assert!(out.contains("round trip"), "{out}");
 
-        // A plan-shaped query travels as one v2 frame; ε/δ come from the
+        // A plan-shaped query travels as one plan frame; ε/δ come from the
         // server's advertised defaults.
         let mut plan_args = plan_query_args(
             PathBuf::new(),
@@ -1904,7 +1766,7 @@ mod tests {
         assert!(out.contains("groups      :"), "{out}");
         assert!(out.contains("for the whole plan"), "{out}");
 
-        // EXPLAIN travels as one v3 frame and runs nothing.
+        // EXPLAIN travels as one explain frame and runs nothing.
         let mut explain_args = plan_args.clone();
         explain_args.explain = true;
         let out = query(&explain_args).unwrap();
@@ -1940,7 +1802,7 @@ mod tests {
 
     /// `fedaqp stats` three ways after a served query: the local
     /// exposition (this test shares the server's process, so its registry
-    /// holds the served counters), the remote exposition over the wire v5
+    /// holds the served counters), the remote exposition over the wire
     /// `Metrics` frame, and the shutdown summary — all showing the same
     /// live counters.
     #[test]

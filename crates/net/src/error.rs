@@ -27,15 +27,22 @@ pub enum NetError {
     Disconnected,
     /// A frame failed to decode.
     Malformed(&'static str),
-    /// A protocol version was requested that the other side does not
-    /// support. Carries both sides of the negotiation: the version that
-    /// was asked for and the highest the rejecting side speaks.
+    /// A frame carried a protocol version the other side does not speak.
     UnsupportedVersion {
-        /// The version that was requested (a frame header's version, or
-        /// the version a feature like plan submission needs).
+        /// The version the frame header declared.
         requested: u16,
-        /// The highest version the rejecting side supports.
+        /// The version the rejecting side speaks.
         supported: u16,
+    },
+    /// A list or string field holds more entries than its declared cap,
+    /// or (decoding) declares more than the remaining payload could hold.
+    CountOutOfRange {
+        /// The field, as `Type.field`.
+        field: &'static str,
+        /// The count held or declared.
+        count: usize,
+        /// The field's cap.
+        cap: usize,
     },
     /// A frame header declared a payload above the hard cap.
     FrameTooLarge {
@@ -76,9 +83,14 @@ impl fmt::Display for NetError {
                 write!(
                     f,
                     "wire-protocol version {requested} is unsupported \
-                     (peer supports up to version {supported})"
+                     (peer speaks version {supported})"
                 )
             }
+            NetError::CountOutOfRange { field, count, cap } => write!(
+                f,
+                "malformed frame: {field} declares {count} entries \
+                 (over its cap of {cap} or the bytes that follow)"
+            ),
             NetError::FrameTooLarge { declared, max } => {
                 write!(
                     f,
@@ -126,6 +138,11 @@ mod tests {
                 max: 1 << 20,
             },
             NetError::UnknownKind(77),
+            NetError::CountOutOfRange {
+                field: "IngestRequest.rows",
+                count: 1 << 31,
+                cap: 4096,
+            },
             NetError::Handshake("expected Hello"),
             NetError::BadServeConfig("xi must be positive".into()),
             NetError::Remote {

@@ -19,7 +19,7 @@
 //!
 //! **Live server** ([`FederationServer::bind_live`]) serves the same
 //! analyst protocol from a [`LiveFederation`] behind one reader–writer
-//! lock, plus the wire-v6 `Ingest` frame: a batch of rows appended to a
+//! lock, plus the `Ingest` frame: a batch of rows appended to a
 //! provider under the write lock, answered with an `IngestAck` carrying
 //! the accepted count, the new epoch, and whether the staleness policy
 //! triggered a metadata refresh. Every other request runs on a scoped
@@ -31,12 +31,13 @@
 //! [`PlanBackend`]: the engine handle, the coordinator, or a live
 //! federation's scoped engine. Refusals, ledger reads and telemetry are
 //! answered before a request reaches it, so they never start an engine
-//! or charge anything. `OnlinePlan` frames stream each round's
-//! [`fedaqp_core::PlanSnapshot`] back as a server-push `OnlineSnapshot` frame the
-//! moment it resolves, closed by `OnlineDone`.
+//! or charge anything. Every analyst request is a `Plan` (or an `Explain`
+//! of one); a plan that is a [`QueryPlan::Online`] streams each round's
+//! [`fedaqp_core::PlanSnapshot`] back as a server-push `OnlineSnapshot`
+//! frame the moment it resolves, closed by `OnlineDone`.
 //!
 //! **Shard server** ([`FederationServer::bind_shard`]) serves only the
-//! v4 fragment frames to an upstream coordinator — one fragment at a
+//! fragment frames to an upstream coordinator — one fragment at a
 //! time per connection, fragment after fragment on connections the
 //! coordinator keeps and reuses — with *no* budget directory: fragments
 //! arrive already charged at the coordinator, the single ξ authority (see
@@ -46,10 +47,8 @@
 //!
 //! Every role shares the handshake (one `Hello`, answered by a `HelloAck`
 //! or a typed refusal) and the frame read path (every frame counted,
-//! malformed input answered typed before the close). Each connection
-//! speaks the version negotiated at the handshake, and a request newer
-//! than that version is refused before anything is charged; the version
-//! each frame kind needs is declared once, in [`crate::wire`].
+//! malformed input — a header of another protocol version included —
+//! answered typed before the close).
 //!
 //! Budget enforcement: with [`ServeOptions::with_budget`], every request
 //! is charged through a [`ConcurrentSession`] over the analyst's ledger
@@ -59,11 +58,12 @@
 //! charges hit one atomic [`SharedAccountant`]. An exhausted budget
 //! surfaces as a typed [`ErrorCode::BudgetExhausted`] error frame; the
 //! connection stays open. A whole [`QueryPlan`] is validated and charged
-//! atomically up front the same way.
+//! atomically up front.
 //!
 //! What never crosses the wire: providers' raw (pre-noise) estimates and
-//! smooth sensitivities. The backends release a [`SubOutcome`], which
-//! does not carry them, so a remote analyst sees only DP-released values.
+//! smooth sensitivities. The backends release a
+//! [`fedaqp_core::SubOutcome`], which does not carry them, so a remote
+//! analyst sees only DP-released values.
 //! Transport security (TLS, authn) is out of scope — see the README
 //! threat model.
 
@@ -75,19 +75,17 @@ use std::thread::JoinHandle;
 use fedaqp_core::{
     ConcurrentSession, CoreError, EngineHandle, FederationConfig, LiveFederation, PendingFragment,
     PendingPlan, PlanAnswer, PlanBackend, PlanResult, QueryPlan, SessionPlan, ShardedFederation,
-    SubOutcome,
 };
-use fedaqp_dp::{BudgetDirectory, DpError, PrivacyCost, QueryBudget, SharedAccountant};
+use fedaqp_dp::{BudgetDirectory, DpError, QueryBudget, SharedAccountant};
 use fedaqp_model::{Row, Schema};
 use fedaqp_obs as obs;
 
 use crate::wire::{
-    calibration_code, read_frame_versioned, write_frame_at, Answer, BudgetStatus, ErrorCode,
-    ErrorFrame, ExplainAnswerFrame, ExtremePartialFrame, FragmentPartialFrame,
-    FragmentSummariesFrame, Frame, HelloAck, IngestAckFrame, IngestRequest, MetricsAnswerFrame,
-    OnlineDoneFrame, OnlinePlanRequest, OnlineSnapshotFrame, PlanAnswerFrame, QueryRequest,
-    ShardBoundsFrame, WireDimension, WireGroup, WireMetric, WirePartialRow, WirePlanResult,
-    WireProviderBounds, WireSummary, MIN_VERSION, VERSION,
+    read_frame, write_frame, BudgetStatus, ErrorCode, ErrorFrame, ExplainAnswerFrame,
+    ExtremePartialFrame, FragmentPartialFrame, FragmentSummariesFrame, Frame, HelloAck,
+    IngestAckFrame, IngestRequest, MetricsAnswerFrame, OnlineDoneFrame, OnlineSnapshotFrame,
+    PlanAnswerFrame, ShardBoundsFrame, WireDimension, WireGroup, WireMetric, WirePartialRow,
+    WirePlanResult, WireProviderBounds, WireSummary, VERSION,
 };
 use crate::{NetError, Result};
 
@@ -144,9 +142,6 @@ struct Service {
     /// (ingest appends rows, never dimensions or providers), so it is
     /// built once, at bind time.
     hello: Arc<HelloAck>,
-    /// The oldest `Hello` version the role accepts: v1 for the analyst
-    /// roles; for a shard, the version of the fragment frames it serves.
-    min_hello: u16,
 }
 
 /// A running federation server.
@@ -167,13 +162,7 @@ impl FederationServer {
     /// `handle`'s engine.
     pub fn bind(addr: &str, handle: EngineHandle, options: ServeOptions) -> Result<Self> {
         let hello = hello_ack(handle.config(), handle.schema(), options);
-        Self::bind_mode(
-            addr,
-            ServerMode::Engine(handle),
-            hello,
-            options,
-            MIN_VERSION,
-        )
+        Self::bind_mode(addr, ServerMode::Engine(handle), hello, options)
     }
 
     /// Binds `addr` and serves the analyst protocol from a sharded
@@ -186,17 +175,11 @@ impl FederationServer {
         options: ServeOptions,
     ) -> Result<Self> {
         let hello = hello_ack(federation.config(), federation.schema(), options);
-        Self::bind_mode(
-            addr,
-            ServerMode::Coordinator(federation),
-            hello,
-            options,
-            MIN_VERSION,
-        )
+        Self::bind_mode(addr, ServerMode::Coordinator(federation), hello, options)
     }
 
     /// Binds `addr` in live mode: the analyst protocol of [`Self::bind`]
-    /// plus the v6 streaming-ingest path. Each request runs on a scoped
+    /// plus the streaming-ingest path. Each request runs on a scoped
     /// engine under the lock's read side (one consistent epoch per
     /// request); an accepted [`Frame::Ingest`] batch takes the write side,
     /// appends rows with incremental metadata maintenance, and re-salts
@@ -206,10 +189,10 @@ impl FederationServer {
         let federation = live.federation();
         let hello = hello_ack(federation.config(), federation.schema(), options);
         let mode = ServerMode::Live(Arc::new(RwLock::new(live)));
-        Self::bind_mode(addr, mode, hello, options, MIN_VERSION)
+        Self::bind_mode(addr, mode, hello, options)
     }
 
-    /// Binds `addr` in shard mode: the server answers only v4 fragment
+    /// Binds `addr` in shard mode: the server answers only fragment
     /// frames (plus the handshake), one fragment at a time per
     /// connection — a coordinator reuses its connections across
     /// fragments and pipelines requests within one — and never opens a
@@ -218,10 +201,7 @@ impl FederationServer {
     pub fn bind_shard(addr: &str, handle: EngineHandle) -> Result<Self> {
         let options = ServeOptions::unlimited();
         let hello = hello_ack(handle.config(), handle.schema(), options);
-        // Every frame this role serves is a fragment frame, so an older
-        // client could never speak to it: refuse it at the handshake.
-        let min_hello = Frame::ShardBoundsRequest.min_version();
-        Self::bind_mode(addr, ServerMode::Shard(handle), hello, options, min_hello)
+        Self::bind_mode(addr, ServerMode::Shard(handle), hello, options)
     }
 
     fn bind_mode(
@@ -229,7 +209,6 @@ impl FederationServer {
         mode: ServerMode,
         hello: HelloAck,
         options: ServeOptions,
-        min_hello: u16,
     ) -> Result<Self> {
         let directory = match options.per_analyst {
             Some((xi, psi)) => Some(Arc::new(
@@ -242,7 +221,6 @@ impl FederationServer {
             mode,
             directory,
             hello: Arc::new(hello),
-            min_hello,
         };
         let listener = TcpListener::bind(addr).map_err(|e| NetError::Bind {
             addr: addr.to_owned(),
@@ -315,8 +293,8 @@ fn serve_connection(stream: TcpStream, service: &Service) -> Result<()> {
         }
         ServerMode::Live(live) => conn.serve_analyst(true, |conn, frame| match frame {
             Frame::Ingest(request) => ingest(live, conn, request),
-            // The read guard spans the whole request — a batch, or every
-            // snapshot of an online plan, is computed against one epoch.
+            // The read guard spans the whole request — every snapshot of
+            // an online plan is computed against one epoch.
             frame => read_live(live)
                 .federation()
                 .with_engine(|engine| handle_request(engine, conn, frame)),
@@ -328,10 +306,6 @@ fn serve_connection(stream: TcpStream, service: &Service) -> Result<()> {
 /// One connection after its handshake.
 struct Connection {
     stream: TcpStream,
-    /// The version negotiated at the handshake: `min(Hello header
-    /// version, VERSION)`. Every reply is encoded at it, so a v1 client
-    /// sees byte-identical v1 frames.
-    version: u16,
     /// The identity the `Hello` declared.
     analyst: String,
     /// The analyst's durable ledger, when the server caps budgets.
@@ -346,42 +320,29 @@ impl Connection {
     /// with a typed refusal before the close. `None` when the peer left
     /// without a word.
     fn handshake(mut stream: TcpStream, service: &Service) -> Result<Option<Self>> {
-        let (hello, version) = match read_frame_versioned(&mut stream) {
-            Ok((Frame::Hello(hello), v)) => (hello, v.min(VERSION)),
+        let hello = match read_frame(&mut stream) {
+            Ok(Frame::Hello(hello)) => hello,
             Ok(_) => {
-                let _ = write_frame_at(
+                let _ = write_frame(
                     &mut stream,
                     &error_reply(0, ErrorCode::BadRequest, "expected a Hello frame"),
-                    VERSION,
                 );
                 return Err(NetError::Handshake("expected Hello"));
             }
             Err(NetError::Disconnected) => return Ok(None),
             Err(e) => {
-                // An unknown header version gets the typed negotiation
-                // error (at v1, the most interoperable encoding) before
-                // the close — never a bare hangup.
-                let _ = write_frame_at(&mut stream, &read_error_reply(&e), MIN_VERSION);
+                // A header of another protocol version gets the typed
+                // version error before the close — never a bare hangup.
+                let _ = write_frame(&mut stream, &read_error_reply(&e));
                 return Err(e);
             }
         };
-        if version < service.min_hello {
-            let message = format!("shard-mode connections need a v{} Hello", service.min_hello);
-            let _ = write_frame_at(
-                &mut stream,
-                &error_reply(0, ErrorCode::BadRequest, &message),
-                version,
-            );
-            return Err(NetError::Handshake("hello older than the role's frames"));
-        }
-        write_frame_at(
+        write_frame(
             &mut stream,
             &Frame::HelloAck(HelloAck::clone(&service.hello)),
-            version,
         )?;
         Ok(Some(Self {
             stream,
-            version,
             ledger: service
                 .directory
                 .as_ref()
@@ -391,9 +352,9 @@ impl Connection {
         }))
     }
 
-    /// Writes one reply at the negotiated version.
+    /// Writes one reply.
     fn send(&mut self, frame: &Frame) -> Result<()> {
-        write_frame_at(&mut self.stream, frame, self.version)
+        write_frame(&mut self.stream, frame)
     }
 
     /// Reads and counts the next request. `None` on a clean disconnect;
@@ -401,8 +362,8 @@ impl Connection {
     /// answered (typed, including version mismatches) and ends the
     /// connection.
     fn next(&mut self) -> Result<Option<Frame>> {
-        match read_frame_versioned(&mut self.stream) {
-            Ok((frame, _)) => {
+        match read_frame(&mut self.stream) {
+            Ok(frame) => {
                 count_frame(request_kind(&frame));
                 Ok(Some(frame))
             }
@@ -423,7 +384,7 @@ impl Connection {
         mut dispatch: impl FnMut(&mut Self, Frame) -> Result<()>,
     ) -> Result<()> {
         while let Some(frame) = self.next()? {
-            if let Some(refusal) = refusal(&frame, self.version, ingests) {
+            if let Some(refusal) = refusal(&frame, ingests) {
                 self.send(&refusal)?;
                 continue;
             }
@@ -444,14 +405,14 @@ impl Connection {
 
     /// The reply to one released request: its answer frame, counted as
     /// answered, or its typed error.
-    fn released(&mut self, index: u32, reply: fedaqp_core::Result<Frame>) -> Frame {
+    fn released(&mut self, reply: fedaqp_core::Result<Frame>) -> Frame {
         match reply {
             Ok(frame) => {
                 self.answered += 1;
                 obs::counter_add(obs::names::SERVER_QUERIES, 1);
                 frame
             }
-            Err(e) => core_error_reply(index, &e),
+            Err(e) => core_error_reply(0, &e),
         }
     }
 
@@ -473,17 +434,13 @@ impl Connection {
 }
 
 /// The static kind label of a request frame: its per-kind telemetry
-/// family (`fedaqp_server_frames_total.{kind}`) and the name its version
-/// refusal uses. Never request content.
+/// family (`fedaqp_server_frames_total.{kind}`). Never request content.
 fn request_kind(frame: &Frame) -> &'static str {
     match frame {
-        Frame::Query(_) => "query",
-        Frame::Batch(_) => "batch",
         Frame::Plan(_) => "plan",
         Frame::Explain(_) => "explain",
         Frame::BudgetRequest => "budget",
         Frame::Metrics => "metrics",
-        Frame::OnlinePlan(_) => "online-plan",
         Frame::Ingest(_) => "ingest",
         Frame::Fragment(_)
         | Frame::FragmentSummariesRequest
@@ -498,31 +455,21 @@ fn request_kind(frame: &Frame) -> &'static str {
 
 /// The typed refusal an analyst role answers `frame` with before any
 /// engine runs or anything is charged, if it refuses it.
-fn refusal(frame: &Frame, version: u16, ingests: bool) -> Option<Frame> {
+fn refusal(frame: &Frame, ingests: bool) -> Option<Frame> {
     let message = match request_kind(frame) {
         // Fragment frames bypass the analyst budget ledger (they arrive
         // pre-charged from a coordinator) and let a caller pick
         // occurrence indices — an occurrence-differencing oracle.
-        "fragment" => "fragment frames are served only by a shard-mode server".to_owned(),
+        "fragment" => "fragment frames are served only by a shard-mode server",
         // A frozen federation's metadata, epochs, and seed never move:
         // accepting rows would silently drop them from every answer.
-        "ingest" if !ingests => "ingest frames are served only by a live-mode server".to_owned(),
+        "ingest" if !ingests => "ingest frames are served only by a live-mode server",
         // Hello again, or a server-to-client frame: protocol misuse,
         // answered but not fatal.
-        "other" => "unexpected frame kind".to_owned(),
-        // A request decodes from its own frame header, but its reply
-        // must be encodable at the negotiated version.
-        kind => {
-            let needed = frame.min_version();
-            if version >= needed {
-                return None;
-            }
-            format!(
-                "{kind} frames need a v{needed}-negotiated connection (reconnect with a v{needed} Hello)"
-            )
-        }
+        "other" => "unexpected frame kind",
+        _ => return None,
     };
-    Some(error_reply(0, ErrorCode::BadRequest, &message))
+    Some(error_reply(0, ErrorCode::BadRequest, message))
 }
 
 /// Answers one analyst request on any backend: the engine, the
@@ -541,40 +488,16 @@ fn handle_request<B: PlanBackend>(backend: &B, conn: &mut Connection, frame: Fra
     };
     let session = session.as_ref();
     match frame {
-        Frame::Query(spec) => {
-            let reply = submit_query(backend, session, &spec)
-                .and_then(|(sub, cost)| Ok(answer_frame(0, backend.wait_sub(sub)?, cost)));
-            let reply = conn.released(0, reply);
-            conn.record_xi_spent();
-            conn.send(&reply)
-        }
-        Frame::Batch(batch) => {
-            // Submit everything before waiting on anything: the backend
-            // pipelines the whole batch exactly as it does for an
-            // in-process `run_batch`.
-            let pending: Vec<_> = batch
-                .specs
-                .iter()
-                .map(|spec| submit_query(backend, session, spec))
-                .collect();
-            for (i, p) in pending.into_iter().enumerate() {
-                let index = i as u32;
-                let reply =
-                    p.and_then(|(sub, cost)| Ok(answer_frame(index, backend.wait_sub(sub)?, cost)));
-                let reply = conn.released(index, reply);
-                conn.send(&reply)?;
-            }
-            conn.record_xi_spent();
-            Ok(())
-        }
         Frame::Plan(request) => {
             // Every sub-query is submitted (and the whole plan charged)
             // before the wait — the per-group fan-out pipelines exactly
-            // as in-process plans do.
-            let reply = submit_plan(backend, session, &request.plan)
-                .and_then(PendingPlan::wait)
-                .map(|answer| plan_answer_frame(0, &answer));
-            let reply = conn.released(0, reply);
+            // as in-process plans do, and an online plan's snapshots push
+            // as its rounds resolve.
+            let answer = match submit_plan(backend, session, &request.plan) {
+                Ok(pending) => push_snapshots(conn, pending)?,
+                Err(e) => Err(e),
+            };
+            let reply = conn.released(answer.map(|answer| plan_answer_frame(&answer)));
             conn.record_xi_spent();
             conn.send(&reply)
         }
@@ -591,18 +514,6 @@ fn handle_request<B: PlanBackend>(backend: &B, conn: &mut Connection, frame: Fra
             };
             conn.send(&reply)
         }
-        Frame::OnlinePlan(request) => {
-            // The whole plan's (ε, δ) is validated and charged atomically
-            // before the first round dispatches (fail-closed); snapshots
-            // then push as rounds resolve.
-            let answer = match submit_plan(backend, session, &online_plan(&request)) {
-                Ok(pending) => push_snapshots(conn, pending)?,
-                Err(e) => Err(e),
-            };
-            let reply = conn.released(0, answer.map(|answer| online_done_frame(&answer)));
-            conn.record_xi_spent();
-            conn.send(&reply)
-        }
         // Every other kind was answered before dispatch (`refusal`,
         // ledger reads, telemetry, live ingest).
         _ => conn.send(&error_reply(
@@ -610,27 +521,6 @@ fn handle_request<B: PlanBackend>(backend: &B, conn: &mut Connection, frame: Fra
             ErrorCode::BadRequest,
             "unexpected frame kind",
         )),
-    }
-}
-
-/// Validates, charges (through the session, when the analyst has a
-/// ledger) and submits one scalar query; returns it with the `(ε, δ)` it
-/// costs.
-fn submit_query<B: PlanBackend>(
-    backend: &B,
-    session: Option<&ConcurrentSession<B>>,
-    spec: &QueryRequest,
-) -> fedaqp_core::Result<(B::Sub, PrivacyCost)> {
-    match session {
-        Some(session) => Ok((
-            session.submit(&spec.query, spec.sampling_rate)?,
-            session.per_query_cost(),
-        )),
-        None => {
-            let budget = backend.config().query_budget()?;
-            let sub = backend.submit_sub(&spec.query, spec.sampling_rate, &budget)?;
-            Ok((sub, budget.cost()))
-        }
     }
 }
 
@@ -843,22 +733,9 @@ fn no_fragment_reply() -> Frame {
     )
 }
 
-/// The [`QueryPlan`] an [`OnlinePlanRequest`] compiles to — the same
-/// variant the in-process `run_online` wrapper builds, which is what keeps
-/// remote snapshots byte-identical to serial ones on a frozen federation.
-fn online_plan(request: &OnlinePlanRequest) -> QueryPlan {
-    QueryPlan::Online {
-        query: request.query.clone(),
-        sampling_rate: request.sampling_rate,
-        epsilon: request.epsilon,
-        delta: request.delta,
-        rounds: request.rounds as usize,
-    }
-}
-
-/// Waits out an in-flight online plan, pushing one
-/// [`Frame::OnlineSnapshot`] per round as it resolves. The caller closes
-/// the conversation with the plan's [`Frame::OnlineDone`], or with a
+/// Waits out an in-flight plan, pushing one [`Frame::OnlineSnapshot`] per
+/// round of an online plan as it resolves (other plans push nothing). The
+/// caller closes the conversation with the plan's answer frame, or with a
 /// typed error when the backend failed mid-stream (the budget stays spent
 /// either way, fail-closed). Transport failures propagate as
 /// [`NetError`] and tear the connection down.
@@ -890,24 +767,9 @@ fn push_snapshots<B: PlanBackend>(
     }
 }
 
-/// The frame that closes an online plan's conversation.
-fn online_done_frame(answer: &PlanAnswer) -> Frame {
-    Frame::OnlineDone(OnlineDoneFrame {
-        index: 0,
-        eps: answer.cost.eps,
-        delta: answer.cost.delta,
-        value: answer.value().unwrap_or(f64::NAN),
-        summary_us: answer.timings.summary.as_micros() as u64,
-        allocation_us: answer.timings.allocation.as_micros() as u64,
-        execution_us: answer.timings.execution.as_micros() as u64,
-        release_us: answer.timings.release.as_micros() as u64,
-        network_us: answer.timings.network.as_micros() as u64,
-    })
-}
-
-/// Builds the typed reply to a frame that could not be read: the
-/// negotiation error for a header version this server does not speak
-/// (its `index` carries the server's maximum version, as documented on
+/// Builds the typed reply to a frame that could not be read: the version
+/// error for a header version this server does not speak (its `index`
+/// carries the server's version, as documented on
 /// [`ErrorCode::UnsupportedVersion`]), a bad request otherwise.
 fn read_error_reply(error: &NetError) -> Frame {
     match error {
@@ -915,7 +777,7 @@ fn read_error_reply(error: &NetError) -> Frame {
             index: VERSION as u32,
             code: ErrorCode::UnsupportedVersion,
             message: format!(
-                "server speaks wire-protocol versions {MIN_VERSION}..={VERSION}, frame declared {requested}"
+                "server speaks wire-protocol version {VERSION}, frame declared {requested}"
             ),
         }),
         _ => error_reply(0, ErrorCode::BadRequest, &error.to_string()),
@@ -936,36 +798,18 @@ fn hello_ack(config: &FederationConfig, schema: &Schema, options: ServeOptions) 
         n_providers: config.n_providers as u32,
         epsilon: config.epsilon,
         delta: config.delta,
-        calibration: calibration_code(config.estimator_calibration),
+        calibration: config.estimator_calibration,
         session_budget: options.per_analyst,
-        max_version: VERSION,
     }
 }
 
-/// Projects a released scalar answer onto the wire.
-fn answer_frame(index: u32, outcome: SubOutcome, cost: PrivacyCost) -> Frame {
-    Frame::Answer(Answer {
-        index,
-        value: outcome.value,
-        eps: cost.eps,
-        delta: cost.delta,
-        ci_halfwidth: outcome.ci_halfwidth,
-        clusters_scanned: outcome.clusters_scanned,
-        covering_total: outcome.covering_total,
-        approximated_providers: outcome.approximated_providers as u32,
-        allocations: outcome.allocations,
-        summary_us: outcome.timings.summary.as_micros() as u64,
-        allocation_us: outcome.timings.allocation.as_micros() as u64,
-        execution_us: outcome.timings.execution.as_micros() as u64,
-        release_us: outcome.timings.release.as_micros() as u64,
-        network_us: outcome.timings.network.as_micros() as u64,
-    })
-}
-
-/// Projects a [`PlanAnswer`] onto the wire. Like [`answer_frame`], only
-/// DP-released data crosses: suppressed groups contribute a count, never
-/// their noisy values.
-fn plan_answer_frame(index: u32, answer: &PlanAnswer) -> Frame {
+/// Projects a [`PlanAnswer`] onto the wire: a [`Frame::PlanAnswer`], or
+/// the [`Frame::OnlineDone`] that closes an online plan's snapshot
+/// stream. Only DP-released data crosses: suppressed groups contribute a
+/// count, never their noisy values.
+fn plan_answer_frame(answer: &PlanAnswer) -> Frame {
+    let us = |d: std::time::Duration| d.as_micros() as u64;
+    let t = &answer.timings;
     let result = match &answer.result {
         PlanResult::Value {
             value,
@@ -986,28 +830,30 @@ fn plan_answer_frame(index: u32, answer: &PlanAnswer) -> Frame {
             suppressed: *suppressed,
         },
         PlanResult::Extreme { value } => WirePlanResult::Extreme { value: *value },
-        // Online plans answer through the dedicated v6 push conversation
-        // (snapshot frames closed by an `OnlineDone`), never through a
-        // `PlanAnswer` — and the `Plan` frame cannot even carry a
-        // `QueryPlan::Online`, so no wire request reaches this arm.
         PlanResult::Snapshots { .. } => {
-            return error_reply(
-                index,
-                ErrorCode::Internal,
-                "online plans answer with snapshot frames",
-            )
+            return Frame::OnlineDone(OnlineDoneFrame {
+                index: 0,
+                eps: answer.cost.eps,
+                delta: answer.cost.delta,
+                value: answer.value().unwrap_or(f64::NAN),
+                summary_us: us(t.summary),
+                allocation_us: us(t.allocation),
+                execution_us: us(t.execution),
+                release_us: us(t.release),
+                network_us: us(t.network),
+            })
         }
     };
     Frame::PlanAnswer(PlanAnswerFrame {
-        index,
+        index: 0,
         eps: answer.cost.eps,
         delta: answer.cost.delta,
         result,
-        summary_us: answer.timings.summary.as_micros() as u64,
-        allocation_us: answer.timings.allocation.as_micros() as u64,
-        execution_us: answer.timings.execution.as_micros() as u64,
-        release_us: answer.timings.release.as_micros() as u64,
-        network_us: answer.timings.network.as_micros() as u64,
+        summary_us: us(t.summary),
+        allocation_us: us(t.allocation),
+        execution_us: us(t.execution),
+        release_us: us(t.release),
+        network_us: us(t.network),
     })
 }
 

@@ -52,8 +52,8 @@ use fedaqp_model::Value;
 use fedaqp_smc::CostModel;
 
 use crate::wire::{
-    encode_frame, read_frame, write_frame_at, ErrorCode, ExtremeFragmentRequest,
-    FragmentAllocationFrame, FragmentRequest, Frame, Hello, VERSION,
+    encode_frame, read_frame, write_frame, ExtremeFragmentRequest, FragmentAllocationFrame,
+    FragmentRequest, Frame, Hello,
 };
 use crate::{NetError, Result};
 
@@ -408,29 +408,15 @@ impl ShardConn {
             message: e.to_string(),
         })?;
         stream.set_nodelay(true).ok();
-        write_frame_at(
+        write_frame(
             &mut stream,
             &Frame::Hello(Hello {
                 analyst: "coordinator".to_owned(),
             }),
-            VERSION,
         )?;
-        match read_frame(&mut stream)? {
-            Frame::HelloAck(ack) if ack.max_version >= 4 => Ok(Self { stream }),
-            Frame::HelloAck(ack) => Err(NetError::UnsupportedVersion {
-                requested: VERSION,
-                supported: ack.max_version,
-            }),
-            Frame::Error(e) if e.code == ErrorCode::UnsupportedVersion => {
-                Err(NetError::UnsupportedVersion {
-                    requested: VERSION,
-                    supported: e.index as u16,
-                })
-            }
-            Frame::Error(e) => Err(NetError::Remote {
-                code: e.code,
-                message: e.message,
-            }),
+        let mut conn = Self { stream };
+        match conn.recv()? {
+            Frame::HelloAck(_) => Ok(conn),
             _ => Err(NetError::Handshake("expected HelloAck")),
         }
     }

@@ -10,25 +10,26 @@
 //!   in the engine's [`EngineAnswer`] as simulation-boundary diagnostics;
 //!   their exact byte patterns must be absent from every captured answer
 //!   frame, while the released value's bytes are present (the positive
-//!   control that the scan works). The same scan covers the v5 telemetry
+//!   control that the scan works). The same scan covers the telemetry
 //!   exposition: a `MetricsAnswer` frame is assembled inside the process
 //!   that holds those diagnostics in memory, so it gets the identical
-//!   byte-level audit — and the v6 server-push path (`OnlineSnapshot` /
-//!   `OnlineDone`), which releases *several* values per plan, gets a
-//!   per-round scan. The struct literals in
+//!   byte-level audit — and the server-push path of online plans
+//!   (`OnlineSnapshot` / `OnlineDone`), which releases *several* values
+//!   per plan, gets a per-round scan. The struct literals in
 //!   `answer_frames_carry_no_diagnostic_fields` are the compile-time half:
-//!   adding any field to `Answer`/`PlanAnswerFrame`/`MetricsAnswerFrame`/
-//!   `OnlineSnapshotFrame`/`OnlineDoneFrame`/`IngestAckFrame` breaks them,
-//!   forcing a conscious review of what new bytes reach an analyst.
+//!   adding any field to `PlanAnswerFrame`/`WirePlanResult`/`WireGroup`/
+//!   `MetricsAnswerFrame`/`OnlineSnapshotFrame`/`OnlineDoneFrame`/
+//!   `IngestAckFrame` breaks them, forcing a conscious review of what new
+//!   bytes reach an analyst.
 
 use std::io::Read as _;
 
-use fedaqp_core::{Federation, FederationConfig, FederationEngine, QueryBatch};
+use fedaqp_core::{Federation, FederationConfig, FederationEngine, PlanAnswer, QueryBatch};
 use fedaqp_model::{Aggregate, Dimension, Domain, QueryPlan, Range, RangeQuery, Row, Schema};
 use fedaqp_net::wire::{
-    read_frame, write_frame, Answer, Frame, Hello, IngestAckFrame, MetricsAnswerFrame,
-    OnlineDoneFrame, OnlinePlanRequest, OnlineSnapshotFrame, PlanAnswerFrame, PlanRequest,
-    QueryRequest, WireMetric, WirePlanResult, HEADER_BYTES,
+    read_frame, write_frame, Frame, Hello, IngestAckFrame, MetricsAnswerFrame, OnlineDoneFrame,
+    OnlineSnapshotFrame, PlanAnswerFrame, PlanRequest, WireGroup, WireMetric, WirePlanResult,
+    HEADER_BYTES,
 };
 use fedaqp_net::{ErrorCode, FederationServer, NetError, RemoteFederation, ServeOptions};
 
@@ -61,6 +62,21 @@ fn count_query(lo: i64, hi: i64) -> RangeQuery {
     RangeQuery::new(Aggregate::Count, vec![Range::new(0, lo, hi).unwrap()]).unwrap()
 }
 
+/// The scalar plan of `query` at rate 0.2 and the batch-default budget —
+/// the same job content as a `QueryBatch` entry at that rate.
+fn scalar(query: &RangeQuery) -> QueryPlan {
+    QueryPlan::Scalar {
+        query: query.clone(),
+        sampling_rate: 0.2,
+        epsilon: 1.0,
+        delta: 1e-3,
+    }
+}
+
+fn query(conn: &mut RemoteFederation, q: &RangeQuery) -> Result<PlanAnswer, NetError> {
+    conn.run_plan(&scalar(q))
+}
+
 /// One identity, ξ = 4 at ε = 1 per query, abused three ways in sequence:
 /// a reconnect loop (fresh connection per query), a 3-connection parallel
 /// swarm under a second identity, and post-exhaustion churn. The ledger
@@ -84,10 +100,10 @@ fn budget_survives_reconnect_churn_and_parallel_sessions() {
     let mut served = 0;
     for round in 0..8 {
         let mut conn = RemoteFederation::connect_as(&addr, "mallet").unwrap();
-        match conn.query(&q, 0.2) {
+        match query(&mut conn, &q) {
             Ok(answer) => {
                 served += 1;
-                assert!(answer.value.is_finite());
+                assert!(answer.value().unwrap().is_finite());
                 assert!(round < 4, "query {round} exceeded the ledger");
             }
             Err(NetError::Remote { code, .. }) => {
@@ -116,7 +132,7 @@ fn budget_survives_reconnect_churn_and_parallel_sessions() {
                 scope.spawn(move || {
                     let mut conn = RemoteFederation::connect_as(&addr, "swarm").unwrap();
                     (0..3)
-                        .map(|_| match conn.query(&q, 0.2) {
+                        .map(|_| match query(&mut conn, &q) {
                             Ok(_) => Ok(()),
                             Err(NetError::Remote { code, .. }) => Err(code),
                             Err(other) => panic!("unexpected transport error: {other:?}"),
@@ -144,7 +160,7 @@ fn budget_survives_reconnect_churn_and_parallel_sessions() {
         assert!((status.spent_eps - 4.0).abs() < 1e-9, "{identity} ledger");
         assert_eq!(status.queries_answered, 4, "{identity} answers");
         assert!(matches!(
-            conn.query(&q, 0.2),
+            query(&mut conn, &q),
             Err(NetError::Remote {
                 code: ErrorCode::BudgetExhausted,
                 ..
@@ -153,7 +169,7 @@ fn budget_survives_reconnect_churn_and_parallel_sessions() {
     }
     // A bystander identity still has its own fresh grant.
     let mut bystander = RemoteFederation::connect_as(&addr, "bystander").unwrap();
-    assert!(bystander.query(&q, 0.2).is_ok());
+    assert!(query(&mut bystander, &q).is_ok());
 
     drop(bystander);
     server.shutdown();
@@ -224,22 +240,21 @@ fn answer_frames_never_carry_raw_estimates_or_sensitivities() {
         .map(|r| r.unwrap())
         .collect();
 
+    // A scalar plan with the batch-default budget runs the same job
+    // content as the in-process batch entry, so the served release is
+    // bit-identical and the in-process diagnostics are its own.
     for (q, oracle) in queries.iter().zip(&in_process) {
-        write_frame(
-            &mut stream,
-            &Frame::Query(QueryRequest {
-                query: q.clone(),
-                sampling_rate: 0.2,
-            }),
-        )
-        .unwrap();
+        write_frame(&mut stream, &Frame::Plan(PlanRequest { plan: scalar(q) })).unwrap();
         let (bytes, frame) = read_raw_frame(&mut stream);
-        let answer = match frame {
-            Frame::Answer(a) => a,
-            other => panic!("expected an Answer, got {other:?}"),
+        let released = match frame {
+            Frame::PlanAnswer(PlanAnswerFrame {
+                result: WirePlanResult::Value { value, .. },
+                ..
+            }) => value,
+            other => panic!("expected a scalar PlanAnswer, got {other:?}"),
         };
         assert_eq!(
-            answer.value.to_bits(),
+            released.to_bits(),
             oracle.value.to_bits(),
             "served and in-process runs diverged; the hygiene scan is void"
         );
@@ -249,57 +264,19 @@ fn answer_frames_never_carry_raw_estimates_or_sensitivities() {
             "noise-free release would make the scan vacuous"
         );
         assert!(
-            contains_f64(&bytes, answer.value),
+            contains_f64(&bytes, released),
             "positive control: the released value's bytes must be present"
         );
         assert!(
             !contains_f64(&bytes, oracle.raw_estimate),
-            "raw pre-noise estimate leaked into an Answer frame"
+            "raw pre-noise estimate leaked into a PlanAnswer frame"
         );
         for &ls in &oracle.smooth_ls {
             assert!(
                 !contains_f64(&bytes, ls),
-                "smooth sensitivity leaked into an Answer frame"
+                "smooth sensitivity leaked into a PlanAnswer frame"
             );
         }
-    }
-
-    // The v2 plan path: a scalar plan with the batch-default budget runs
-    // the same job content, so the in-process diagnostics match it too.
-    write_frame(
-        &mut stream,
-        &Frame::Plan(PlanRequest {
-            plan: QueryPlan::Scalar {
-                query: queries[0].clone(),
-                sampling_rate: 0.2,
-                epsilon: 1.0,
-                delta: 1e-3,
-            },
-        }),
-    )
-    .unwrap();
-    let (bytes, frame) = read_raw_frame(&mut stream);
-    let plan_answer = match frame {
-        Frame::PlanAnswer(a) => a,
-        other => panic!("expected a PlanAnswer, got {other:?}"),
-    };
-    let released = match plan_answer.result {
-        WirePlanResult::Value { value, .. } => value,
-        other => panic!("expected a scalar release, got {other:?}"),
-    };
-    // Same content, second occurrence of it on the served engine vs. the
-    // in-process engine: the draw differs, but the raw estimate is the
-    // same deterministic pre-noise sum.
-    assert!(contains_f64(&bytes, released), "positive control");
-    assert!(
-        !contains_f64(&bytes, in_process[0].raw_estimate),
-        "raw pre-noise estimate leaked into a PlanAnswer frame"
-    );
-    for &ls in &in_process[0].smooth_ls {
-        assert!(
-            !contains_f64(&bytes, ls),
-            "smooth sensitivity leaked into a PlanAnswer frame"
-        );
     }
 
     drop(stream);
@@ -307,7 +284,7 @@ fn answer_frames_never_carry_raw_estimates_or_sensitivities() {
     engine.shutdown();
 }
 
-/// The v5 telemetry exposition audited at the byte level: after a served
+/// The telemetry exposition audited at the byte level: after a served
 /// workload, the captured `MetricsAnswer` frame must carry none of the
 /// diagnostics the engine held in memory while producing it — no raw
 /// pre-noise estimates, no smooth sensitivities, no noise draws. The
@@ -354,21 +331,17 @@ fn metrics_frames_never_carry_raw_estimates_or_sensitivities() {
     // Serve the workload, checking bit-identity so the oracle's
     // diagnostics are provably the served engine's own.
     for (q, oracle) in queries.iter().zip(&in_process) {
-        write_frame(
-            &mut stream,
-            &Frame::Query(QueryRequest {
-                query: q.clone(),
-                sampling_rate: 0.2,
-            }),
-        )
-        .unwrap();
+        write_frame(&mut stream, &Frame::Plan(PlanRequest { plan: scalar(q) })).unwrap();
         match read_raw_frame(&mut stream).1 {
-            Frame::Answer(a) => assert_eq!(
-                a.value.to_bits(),
+            Frame::PlanAnswer(PlanAnswerFrame {
+                result: WirePlanResult::Value { value, .. },
+                ..
+            }) => assert_eq!(
+                value.to_bits(),
                 oracle.value.to_bits(),
                 "served and in-process runs diverged; the hygiene scan is void"
             ),
-            other => panic!("expected an Answer, got {other:?}"),
+            other => panic!("expected a scalar PlanAnswer, got {other:?}"),
         }
     }
 
@@ -417,7 +390,7 @@ fn metrics_frames_never_carry_raw_estimates_or_sensitivities() {
     engine.shutdown();
 }
 
-/// The v6 server-push path audited at the byte level: an online plan
+/// The server-push path of online plans audited at the byte level: an online plan
 /// releases one value per round, so *every* captured `OnlineSnapshot`
 /// frame (and the trailing `OnlineDone`) is scanned for the raw
 /// pre-noise estimates and smooth sensitivities of its round's
@@ -461,17 +434,14 @@ fn online_push_frames_never_carry_raw_estimates_or_sensitivities() {
         .map(|r| r.unwrap())
         .collect();
 
-    write_frame(
-        &mut stream,
-        &Frame::OnlinePlan(OnlinePlanRequest {
-            query: query.clone(),
-            sampling_rate: 0.2,
-            epsilon: 1.0,
-            delta: 1e-3,
-            rounds,
-        }),
-    )
-    .unwrap();
+    let plan = QueryPlan::Online {
+        query: query.clone(),
+        sampling_rate: 0.2,
+        epsilon: 1.0,
+        delta: 1e-3,
+        rounds: rounds as usize,
+    };
+    write_frame(&mut stream, &Frame::Plan(PlanRequest { plan })).unwrap();
 
     for round in 1..=rounds {
         let (bytes, frame) = read_raw_frame(&mut stream);
@@ -528,34 +498,17 @@ fn online_push_frames_never_carry_raw_estimates_or_sensitivities() {
     engine.shutdown();
 }
 
-/// Compile-time hygiene: exhaustive struct literals over both answer
-/// frames, the telemetry exposition, and the v6 push/ingest frames.
-/// Adding ANY field to [`Answer`], [`PlanAnswerFrame`],
-/// [`MetricsAnswerFrame`], [`WireMetric`], [`OnlineSnapshotFrame`],
-/// [`OnlineDoneFrame`], or [`IngestAckFrame`] — say a `raw_estimate`
-/// diagnostic — fails this build with "missing field", forcing review of
-/// what new bytes would reach an analyst. (No functional-update `..`
-/// shorthand here, deliberately.)
+/// Compile-time hygiene: exhaustive struct literals over the plan answer
+/// frame and its result shapes, the telemetry exposition, and the push
+/// and ingest frames. Adding ANY field to [`PlanAnswerFrame`],
+/// [`WirePlanResult`], [`WireGroup`], [`MetricsAnswerFrame`],
+/// [`WireMetric`], [`OnlineSnapshotFrame`], [`OnlineDoneFrame`], or
+/// [`IngestAckFrame`] — say a `raw_estimate` diagnostic — fails this
+/// build with "missing field", forcing review of what new bytes would
+/// reach an analyst. (No functional-update `..` shorthand here,
+/// deliberately.)
 #[test]
 fn answer_frames_carry_no_diagnostic_fields() {
-    let answer = Answer {
-        index: 0,
-        value: 1.0,
-        eps: 1.0,
-        delta: 1e-3,
-        ci_halfwidth: Some(0.5),
-        clusters_scanned: 2,
-        covering_total: 3,
-        approximated_providers: 4,
-        allocations: vec![1, 2],
-        summary_us: 5,
-        allocation_us: 6,
-        execution_us: 7,
-        release_us: 8,
-        network_us: 9,
-    };
-    assert_eq!(answer.allocations.len(), 2);
-
     let plan_answer = PlanAnswerFrame {
         index: 0,
         eps: 1.0,
@@ -571,6 +524,18 @@ fn answer_frames_carry_no_diagnostic_fields() {
         network_us: 5,
     };
     assert!(matches!(plan_answer.result, WirePlanResult::Value { .. }));
+    let results = [
+        WirePlanResult::Groups {
+            groups: vec![WireGroup {
+                key: 3,
+                value: 1.0,
+                ci_halfwidth: None,
+            }],
+            suppressed: 2,
+        },
+        WirePlanResult::Extreme { value: 7 },
+    ];
+    assert_eq!(results.len(), 2);
 
     let metrics_answer = MetricsAnswerFrame {
         metrics: vec![WireMetric {

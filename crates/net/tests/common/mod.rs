@@ -4,15 +4,33 @@
 // Each test binary compiles this module and uses a subset of it.
 #![allow(dead_code)]
 
-use fedaqp_core::{Federation, FederationConfig, FederationEngine};
+use fedaqp_core::{Federation, FederationConfig, FederationEngine, PlanAnswer};
 use fedaqp_model::{
     Aggregate, DerivedStatistic, Dimension, Domain, Extreme, QueryPlan, Range, RangeQuery, Row,
     Schema,
 };
-use fedaqp_net::{LoopbackServer, RemoteShard, ServeOptions};
+use fedaqp_net::wire::{encode_frame, Frame};
+use fedaqp_net::{LoopbackServer, NetError, RemoteFederation, RemoteShard, ServeOptions};
 
 pub fn count_query(lo: i64, hi: i64) -> RangeQuery {
     RangeQuery::new(Aggregate::Count, vec![Range::new(0, lo, hi).unwrap()]).unwrap()
+}
+
+/// One scalar query at sampling rate 0.2 and the server's default
+/// `(ε, δ)`: the scalar plan a remote analyst sends.
+pub fn remote_query(
+    client: &mut RemoteFederation,
+    query: &RangeQuery,
+) -> Result<PlanAnswer, NetError> {
+    let plan = client.scalar_plan(query, 0.2);
+    client.run_plan(&plan)
+}
+
+/// `frame`'s encoding with its header stamped at `version`.
+pub fn stamped(frame: &Frame, version: u16) -> Vec<u8> {
+    let mut bytes = encode_frame(frame).unwrap();
+    bytes[4..6].copy_from_slice(&version.to_le_bytes());
+    bytes
 }
 
 /// Schema with a small categorical dimension for plan tests.

@@ -5,15 +5,13 @@
 //! every typed error, and every ledger reading must agree across them —
 //! the roles differ in transport, never in what an analyst observes.
 
+use std::io::Write as _;
 use std::net::TcpStream;
 
-use fedaqp_core::{
-    FederationEngine, LiveFederation, QueryBatch, QueryPlan, RefreshPolicy, ShardedFederation,
-};
+use fedaqp_core::{FederationEngine, LiveFederation, QueryPlan, RefreshPolicy, ShardedFederation};
 use fedaqp_model::Row;
 use fedaqp_net::wire::{
-    read_frame, read_frame_versioned, write_frame, write_frame_at, ExplainRequest, Frame, Hello,
-    OnlinePlanRequest, PlanRequest,
+    encode_frame, read_frame, write_frame, ExplainRequest, Frame, Hello, PlanRequest,
 };
 use fedaqp_net::{LoopbackServer, NetError, RemoteFederation, ServeOptions};
 
@@ -25,6 +23,16 @@ use common::*;
 const XI: f64 = 16.0;
 const PSI: f64 = 0.5;
 
+fn online_plan() -> QueryPlan {
+    QueryPlan::Online {
+        query: count_query(100, 800),
+        sampling_rate: 0.2,
+        epsilon: 1.0,
+        delta: 1e-3,
+        rounds: 3,
+    }
+}
+
 fn scalar_plan() -> QueryPlan {
     QueryPlan::Scalar {
         query: count_query(100, 800),
@@ -34,30 +42,29 @@ fn scalar_plan() -> QueryPlan {
     }
 }
 
-/// Opens a raw connection that negotiates `version` at the handshake.
-fn raw_connection(addr: &str, analyst: &str, version: u16) -> TcpStream {
+/// Opens a raw, handshaken connection.
+fn raw_connection(addr: &str, analyst: &str) -> TcpStream {
     let mut stream = TcpStream::connect(addr).unwrap();
-    write_frame_at(
+    write_frame(
         &mut stream,
         &Frame::Hello(Hello {
             analyst: analyst.into(),
         }),
-        version,
     )
     .unwrap();
-    match read_frame_versioned(&mut stream).unwrap() {
-        (Frame::HelloAck(_), v) => assert_eq!(v, version),
+    match read_frame(&mut stream).unwrap() {
+        Frame::HelloAck(_) => {}
         other => panic!("expected HelloAck, got {other:?}"),
     }
     stream
 }
 
-/// Sends one frame at the newest version on a raw connection and returns
-/// the typed error it must be answered with.
-fn refused(stream: &mut TcpStream, frame: &Frame) -> String {
-    write_frame(stream, frame).unwrap();
+/// Sends one encoded frame on a raw connection and returns the typed
+/// error it must be answered with.
+fn refused(stream: &mut TcpStream, bytes: &[u8]) -> String {
+    stream.write_all(bytes).unwrap();
     match read_frame(stream).unwrap() {
-        Frame::Error(e) => format!("error {:?} {:?}", e.code, e.message),
+        Frame::Error(e) => format!("error {:?} {:?} {}", e.code, e.message, e.index),
         other => panic!("expected a typed refusal, got {other:?}"),
     }
 }
@@ -96,32 +103,11 @@ fn converse(addr: &str) -> Vec<String> {
     let mut alice = RemoteFederation::connect_as(addr, "alice").unwrap();
     assert_eq!(alice.session_budget(), Some((XI, PSI)));
 
-    // Query and Batch: config ε = 1 each (4ε so far).
-    let a = alice.query(&count_query(150, 750), 0.2).unwrap();
-    log.push(format!(
-        "query {:?} {:?} {:?} {} {} {} {:?}",
-        a.value,
-        a.cost,
-        a.ci_halfwidth,
-        a.clusters_scanned,
-        a.covering_total,
-        a.approximated_providers,
-        a.allocations
-    ));
-    let mut batch = QueryBatch::new();
-    for i in 0..3 {
-        batch.push(count_query(50 * i, 600 + 50 * i), 0.2);
-    }
-    for (i, r) in alice.run_batch(&batch).unwrap().into_iter().enumerate() {
-        let a = r.unwrap();
-        log.push(format!(
-            "batch[{i}] {:?} {:?} {:?} {} {}",
-            a.value,
-            a.cost,
-            a.ci_halfwidth,
-            a.clusters_scanned,
-            a.allocations.len()
-        ));
+    // Scalar plans at the served defaults: config ε = 1 each (4ε so far).
+    for i in 0..4 {
+        let query = count_query(150 - 50 * i, 600 + 50 * i);
+        let answer = remote_query(&mut alice, &query).unwrap();
+        log.push(format!("scalar[{i}] {:?} {:?}", answer.result, answer.cost));
     }
 
     // One plan of each kind (scalar 1 + derived 1 + group-by 2.5 +
@@ -132,9 +118,9 @@ fn converse(addr: &str) -> Vec<String> {
     }
     let mut pushed = Vec::new();
     let online = alice
-        .run_online_plan(&count_query(100, 800), 0.2, 1.0, 1e-3, 3, |s| {
-            pushed.push(*s)
-        })
+        .submit_plan(&online_plan())
+        .unwrap()
+        .wait_streaming(|s| pushed.push(*s))
         .unwrap();
     assert_eq!(online.snapshots().unwrap(), &pushed[..]);
     log.push(format!("online {:?} {:?}", online.result, online.cost));
@@ -148,49 +134,53 @@ fn converse(addr: &str) -> Vec<String> {
         .any(|m| m.name == "fedaqp_server_frames_total"));
     log.push(spent(&mut alice));
 
-    // Frames newer than the negotiated version are refused before any
-    // charge: a plan on v1, an explain on v2, an online plan on v5.
-    let mut v1 = raw_connection(addr, "alice", 1);
-    log.push(refused(
-        &mut v1,
-        &Frame::Plan(PlanRequest {
-            plan: scalar_plan(),
-        }),
-    ));
-    let mut v2 = raw_connection(addr, "alice", 2);
-    log.push(refused(
-        &mut v2,
-        &Frame::Explain(ExplainRequest {
-            plan: scalar_plan(),
-        }),
-    ));
-    let mut v5 = raw_connection(addr, "alice", 5);
-    log.push(refused(
-        &mut v5,
-        &Frame::OnlinePlan(OnlinePlanRequest {
-            query: count_query(100, 800),
-            sampling_rate: 0.2,
-            epsilon: 1.0,
-            delta: 1e-3,
-            rounds: 3,
-        }),
-    ));
+    // Requests stamped with an older protocol version are refused before
+    // any charge: a plan, an explain and an online plan.
+    for (frame, version) in [
+        (
+            Frame::Plan(PlanRequest {
+                plan: scalar_plan(),
+            }),
+            1,
+        ),
+        (
+            Frame::Explain(ExplainRequest {
+                plan: scalar_plan(),
+            }),
+            2,
+        ),
+        (
+            Frame::Plan(PlanRequest {
+                plan: online_plan(),
+            }),
+            6,
+        ),
+    ] {
+        let mut stale = raw_connection(addr, "alice");
+        log.push(refused(&mut stale, &stamped(&frame, version)));
+    }
     // Fragment frames are served only to a coordinator, by a shard.
-    let mut raw = raw_connection(addr, "alice", fedaqp_net::wire::VERSION);
+    let mut raw = raw_connection(addr, "alice");
     for frame in [Frame::ShardBoundsRequest, Frame::FragmentSummariesRequest] {
-        log.push(refused(&mut raw, &frame));
+        log.push(refused(&mut raw, &encode_frame(&frame).unwrap()));
     }
     log.push(spent(&mut alice));
 
     // One more query fits (15.5ε); the next is a typed exhaustion that
     // survives the connection and a reconnect under the same identity.
-    let last = alice.query(&count_query(200, 700), 0.2).unwrap();
-    log.push(format!("last {:?} {:?}", last.value, last.cost));
-    log.push(remote_error(alice.query(&count_query(100, 800), 0.2)));
+    let last = remote_query(&mut alice, &count_query(200, 700)).unwrap();
+    log.push(format!("last {:?} {:?}", last.result, last.cost));
+    log.push(remote_error(remote_query(
+        &mut alice,
+        &count_query(100, 800),
+    )));
     log.push(remote_error(alice.run_plan(&scalar_plan())));
     log.push(spent(&mut alice));
     let mut again = RemoteFederation::connect_as(addr, "alice").unwrap();
-    log.push(remote_error(again.query(&count_query(100, 800), 0.2)));
+    log.push(remote_error(remote_query(
+        &mut again,
+        &count_query(100, 800),
+    )));
     log.push(spent(&mut again));
     log
 }
@@ -232,7 +222,13 @@ fn one_conversation_is_identical_across_engine_coordinator_and_live_servers() {
     // Sanity: the transcript really recorded the exhaustion and the
     // version refusals it is meant to compare.
     assert!(engine_log.iter().any(|l| l.contains("BudgetExhausted")));
-    assert!(engine_log.iter().any(|l| l.contains("v2-negotiated")));
+    assert_eq!(
+        engine_log
+            .iter()
+            .filter(|l| l.contains("UnsupportedVersion"))
+            .count(),
+        3
+    );
     for (mode, log) in [("coordinator", &coordinator_log), ("live", &live_log)] {
         assert_eq!(log.len(), engine_log.len(), "{mode} transcript length");
         for (got, want) in log.iter().zip(&engine_log) {
